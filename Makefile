@@ -68,6 +68,7 @@ FUZZ_TARGETS = \
 	FuzzConjunctionKey:./internal/audience \
 	FuzzKeyOrderSensitivity:./internal/audience \
 	FuzzCompositeKey:./internal/audience \
+	FuzzShardSharesRequest:./internal/serving \
 	FuzzColumnarVAS:./internal/core
 
 fuzz-smoke:

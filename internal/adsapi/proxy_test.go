@@ -8,9 +8,11 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"nanotarget/internal/interest"
 	"nanotarget/internal/serving"
 	"nanotarget/internal/worldcfg"
 )
@@ -27,10 +29,10 @@ func proxyWorld() worldcfg.Config {
 }
 
 // startProxyAPI boots a 2-shard RPC topology, fronts it with a ProxyBackend
-// under the given policy, and mounts the Marketing API server on it. It
-// returns the API base URL and the second shard's httptest server (the one
-// the tests kill).
-func startProxyAPI(t *testing.T, policy serving.Policy) (string, *httptest.Server, *serving.ProxyBackend) {
+// under the given policy (shard RPCs through client; nil is a plain client),
+// and mounts the Marketing API server on it. It returns the API base URL and
+// the second shard's httptest server (the one the tests kill).
+func startProxyAPI(t *testing.T, policy serving.Policy, client *http.Client) (string, *httptest.Server, *serving.ProxyBackend) {
 	t.Helper()
 	cfg := proxyWorld()
 	var shardServers []*httptest.Server
@@ -51,7 +53,8 @@ func startProxyAPI(t *testing.T, policy serving.Policy) (string, *httptest.Serve
 	}
 	proxy, err := serving.NewProxyBackend(cfg, serving.ProxyConfig{
 		URLs: urls, Policy: policy, MaxRetries: 1, RetryBase: time.Millisecond,
-		Sleep: func(ctx context.Context, d time.Duration) error { return nil },
+		Client: client,
+		Sleep:  func(ctx context.Context, d time.Duration) error { return nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +72,7 @@ func startProxyAPI(t *testing.T, policy serving.Policy) (string, *httptest.Serve
 // that lost a shard under the renormalize policy, and stamps those responses
 // "degraded": true (healthy responses omit the field).
 func TestServerOverProxyRenormalize(t *testing.T) {
-	base, shard1, proxy := startProxyAPI(t, serving.PolicyRenormalize)
+	base, shard1, proxy := startProxyAPI(t, serving.PolicyRenormalize, nil)
 	c, err := NewClient(ClientConfig{BaseURL: base, MaxRetries: 1,
 		Sleep: func(ctx context.Context, d time.Duration) error { return nil }})
 	if err != nil {
@@ -112,7 +115,7 @@ func TestServerOverProxyRenormalize(t *testing.T) {
 // TestServerOverProxyFail: under the fail policy a down shard turns API
 // requests into 503s whose JSON body names the dead shard's URL.
 func TestServerOverProxyFail(t *testing.T) {
-	base, shard1, _ := startProxyAPI(t, serving.PolicyFail)
+	base, shard1, _ := startProxyAPI(t, serving.PolicyFail, nil)
 	spec := ConjunctionSpec(es(), nil)
 
 	// Healthy: normal service.
@@ -134,6 +137,46 @@ func TestServerOverProxyFail(t *testing.T) {
 	}
 	if !strings.Contains(env.Error.Message, shard1.URL) {
 		t.Fatalf("503 body %q does not name the dead shard %s", env.Error.Message, shard1.URL)
+	}
+}
+
+// countingTransport counts the shard RPCs a proxy issues.
+type countingTransport struct{ n atomic.Int64 }
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestProxyRPCsPerReachEstimate is the host-independent count gate on the
+// proxy→shard hop: one /reachestimate — conjunction, flexible union or no
+// interests at all — and one Appendix C conditional audience each cost
+// exactly one data-path RPC per shard.
+func TestProxyRPCsPerReachEstimate(t *testing.T) {
+	rpcs := &countingTransport{}
+	base, _, proxy := startProxyAPI(t, serving.PolicyFail, &http.Client{Transport: rpcs})
+	const shards = 2
+	union := TargetingSpec{GeoLocations: es(), FlexibleSpec: []FlexibleClause{
+		{Interests: []InterestRef{{ID: FBInterestID(10)}, {ID: FBInterestID(20)}}},
+		{Interests: []InterestRef{{ID: FBInterestID(30)}}},
+	}}
+	for _, spec := range []TargetingSpec{
+		ConjunctionSpec(es(), []interest.ID{1, 2, 3}),
+		union,
+		ConjunctionSpec(es(), nil),
+	} {
+		before := rpcs.n.Load()
+		if status, body := rawReach(t, base, spec); status != http.StatusOK {
+			t.Fatalf("HTTP %d: %s", status, body)
+		}
+		if got := rpcs.n.Load() - before; got != shards {
+			t.Fatalf("spec %s cost %d shard RPCs, want one per shard (%d)", marshalJSON(spec), got, shards)
+		}
+	}
+	before := rpcs.n.Load()
+	proxy.ConditionalAudience(context.Background(), ConjunctionSpec(es(), nil).DemoFilter(), []interest.ID{1, 2})
+	if got := rpcs.n.Load() - before; got != shards {
+		t.Fatalf("ConditionalAudience cost %d shard RPCs, want one per shard (%d)", got, shards)
 	}
 }
 

@@ -61,6 +61,9 @@ func (b *panicBackend) DemoShare(context.Context, population.DemoFilter) float64
 func (b *panicBackend) UnionShare(context.Context, [][]interest.ID) float64 {
 	panic(&serving.CanceledError{Err: b.err})
 }
+func (b *panicBackend) ReachShares(context.Context, population.DemoFilter, [][]interest.ID) (float64, float64) {
+	panic(&serving.CanceledError{Err: b.err})
+}
 func (b *panicBackend) ConditionalAudience(context.Context, population.DemoFilter, []interest.ID) float64 {
 	panic(&serving.CanceledError{Err: b.err})
 }

@@ -23,7 +23,7 @@ func FuzzConjunctionKey(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		ids, err := DecodeKey(raw)
 		if err != nil {
-			if len(raw)%keyBytesPerID == 0 {
+			if len(raw)%KeyBytesPerID == 0 {
 				t.Fatalf("whole-width key %x rejected: %v", raw, err)
 			}
 			return
@@ -40,7 +40,7 @@ func FuzzConjunctionKey(f *testing.F) {
 		// Prefix property: every prefix of the key decodes to the ID prefix —
 		// this is what lets the cache walk extend keys in place.
 		for n := 0; n <= len(ids); n++ {
-			prefix, err := DecodeKey(raw[:n*keyBytesPerID])
+			prefix, err := DecodeKey(raw[:n*KeyBytesPerID])
 			if err != nil {
 				t.Fatalf("prefix %d of %x rejected: %v", n, raw, err)
 			}

@@ -25,7 +25,8 @@ import (
 // conjunctions by appending, so their re-queries share ordered prefixes and
 // hit anyway.
 
-const keyBytesPerID = 4
+// KeyBytesPerID is the fixed width of one encoded interest.ID in a key.
+const KeyBytesPerID = 4
 
 // AppendKey appends the canonical encoding of ids to dst and returns the
 // extended slice. Appending one more interest extends the key in place,
@@ -39,21 +40,29 @@ func AppendKey(dst []byte, ids []interest.ID) []byte {
 
 // Key returns the canonical key of an interest sequence as a string.
 func Key(ids []interest.ID) string {
-	return string(AppendKey(make([]byte, 0, len(ids)*keyBytesPerID), ids))
+	return string(AppendKey(make([]byte, 0, len(ids)*KeyBytesPerID), ids))
 }
 
 // DecodeKey inverts Key/AppendKey. It errors on any byte string that is not
 // a whole number of encoded IDs — the fuzz harness uses this to check the
 // encoding stays bijective.
 func DecodeKey(key []byte) ([]interest.ID, error) {
-	if len(key)%keyBytesPerID != 0 {
-		return nil, fmt.Errorf("audience: key length %d is not a multiple of %d", len(key), keyBytesPerID)
+	if len(key)%KeyBytesPerID != 0 {
+		return nil, fmt.Errorf("audience: key length %d is not a multiple of %d", len(key), KeyBytesPerID)
 	}
-	out := make([]interest.ID, 0, len(key)/keyBytesPerID)
-	for i := 0; i < len(key); i += keyBytesPerID {
-		out = append(out, interest.ID(binary.BigEndian.Uint32(key[i:])))
+	return AppendDecodedKey(make([]interest.ID, 0, len(key)/KeyBytesPerID), key)
+}
+
+// AppendDecodedKey is DecodeKey appending the IDs to dst, so a caller
+// decoding many keys can back them all with one array.
+func AppendDecodedKey(dst []interest.ID, key []byte) ([]interest.ID, error) {
+	if len(key)%KeyBytesPerID != 0 {
+		return dst, fmt.Errorf("audience: key length %d is not a multiple of %d", len(key), KeyBytesPerID)
 	}
-	return out, nil
+	for i := 0; i < len(key); i += KeyBytesPerID {
+		dst = append(dst, interest.ID(binary.BigEndian.Uint32(key[i:])))
+	}
+	return dst, nil
 }
 
 // Composite (DemoFilter, conjunction) keys.

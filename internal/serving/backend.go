@@ -62,6 +62,10 @@ type ReachBackend interface {
 	// UnionShare returns the population share matching a flexible-spec
 	// union of interest conjunctions.
 	UnionShare(ctx context.Context, clauses [][]interest.ID) float64
+	// ReachShares returns DemoShare(f) and UnionShare(clauses) in one call —
+	// the two factors of a reach estimate, bit-identical to the separate
+	// calls. Network backends answer it with one RPC per shard.
+	ReachShares(ctx context.Context, f population.DemoFilter, clauses [][]interest.ID) (demo, union float64)
 	// ConditionalAudience returns the §4.1 conditional audience expectation
 	// of a conjunction inside a demographic slice — 1 + max(0, Pop·demoShare
 	// − 1)·conjShare, the quantity the group-conditional Appendix C
@@ -128,6 +132,12 @@ func (b *LocalBackend) DemoShare(_ context.Context, f population.DemoFilter) flo
 // UnionShare implements ReachBackend (ctx ignored; see DemoShare).
 func (b *LocalBackend) UnionShare(_ context.Context, clauses [][]interest.ID) float64 {
 	return b.engine.UnionShare(clauses)
+}
+
+// ReachShares implements ReachBackend: the two engine calls (ctx ignored;
+// see DemoShare).
+func (b *LocalBackend) ReachShares(_ context.Context, f population.DemoFilter, clauses [][]interest.ID) (demo, union float64) {
+	return b.engine.DemoShare(f), b.engine.UnionShare(clauses)
 }
 
 // ConditionalAudience implements ReachBackend via the engine's composite

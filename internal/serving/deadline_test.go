@@ -187,7 +187,7 @@ func TestProxyForwardsDeadlineHeader(t *testing.T) {
 func TestShardServerDeadlineHeaderValidation(t *testing.T) {
 	cfg := smallConfig(1)
 	srv, _ := shardHandler(t, cfg, 0, 1)
-	body := `{"clauses": [[1]]}`
+	body := (&sharesRequest{mask: 1 << factorUnion, clauses: [][]interest.ID{{1}}}).appendTo(nil)
 	for _, tc := range []struct {
 		header string
 		want   int
@@ -197,7 +197,7 @@ func TestShardServerDeadlineHeaderValidation(t *testing.T) {
 		{"-5", http.StatusBadRequest},
 		{"60000", http.StatusOK},
 	} {
-		req := httptest.NewRequest(http.MethodPost, shardPathUnion, strings.NewReader(body))
+		req := httptest.NewRequest(http.MethodPost, shardPathShares, bytes.NewReader(body))
 		req.Header.Set(DeadlineHeader, tc.header)
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, req)
@@ -209,25 +209,38 @@ func TestShardServerDeadlineHeaderValidation(t *testing.T) {
 
 // TestShardServerAbandonsDeadCaller: a request whose context is already dead
 // when the handler reaches the compute step is answered 504 without
-// evaluating the share — the cross-process half of deadline propagation.
+// evaluating any factor — the cross-process half of deadline propagation.
 func TestShardServerAbandonsDeadCaller(t *testing.T) {
 	cfg := smallConfig(1)
 	srv, _ := shardHandler(t, cfg, 0, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, path := range []string{shardPathUnion, shardPathDemo, shardPathConj, shardPathCond, shardPathWarm} {
-		body := `{"clauses": [[1]]}`
-		if path == shardPathConj || path == shardPathCond {
-			body = `{"ids": [1]}`
+	all := sharesRequest{filter: randomFilter(rng.New(3)), clauses: [][]interest.ID{{1}}, ids: []interest.ID{1}}
+	for _, tc := range []struct {
+		name, path string
+		mask       byte
+	}{
+		{"union", shardPathShares, 1 << factorUnion},
+		{"demo", shardPathShares, 1 << factorDemo},
+		{"conjunction", shardPathShares, 1 << factorConj},
+		{"reach", shardPathShares, 1<<factorDemo | 1<<factorUnion},
+		{"conditional", shardPathShares, 1<<factorDemo | 1<<factorConj},
+		{"warmrows", shardPathWarm, 0},
+	} {
+		q := all
+		q.mask = tc.mask
+		var body []byte
+		if tc.mask != 0 {
+			body = q.appendTo(nil)
 		}
-		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)).WithContext(ctx)
+		req := httptest.NewRequest(http.MethodPost, tc.path, bytes.NewReader(body)).WithContext(ctx)
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, req)
 		if rec.Code != http.StatusGatewayTimeout {
-			t.Errorf("%s with a dead caller: HTTP %d, want 504", path, rec.Code)
+			t.Errorf("%s with a dead caller: HTTP %d, want 504", tc.name, rec.Code)
 		}
 		if !strings.Contains(rec.Body.String(), "deadline exhausted before compute") {
-			t.Errorf("%s 504 body %q does not explain the abandonment", path, rec.Body.String())
+			t.Errorf("%s 504 body %q does not explain the abandonment", tc.name, rec.Body.String())
 		}
 	}
 }

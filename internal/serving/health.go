@@ -291,10 +291,11 @@ func (p *ProxyBackend) Degraded() bool {
 
 // ProbeNow runs one synchronous health-probe round: every replica's
 // /shard/v1/health endpoint is fetched (in parallel, under the probe timeout)
-// and its identity — shard index, shard count, user-ID range, catalog size,
-// total population — is checked against the proxy's own configuration, so a
-// replica serving the wrong world (or the wrong slice of the right world) is
-// treated as down rather than silently folded in. Every check compares
+// and its identity — wire format version, shard index, shard count, user-ID
+// range, catalog size, total population — is checked against the proxy's
+// own configuration, so a replica serving the wrong world (or the wrong
+// slice of the right world, or over another build's wire) is treated as down
+// rather than silently folded in. Every check compares
 // against the proxy's config-derived expectation, so any two replicas that
 // both pass are byte-identical worlds by construction (shard models are
 // share-calibrated pure functions of the config and range) — which is what
@@ -355,6 +356,9 @@ func (p *ProxyBackend) probeReplica(ctx context.Context, shard, replica int) err
 	switch {
 	case info.Status != "ok":
 		return fmt.Errorf("health probe: status %q", info.Status)
+	case info.Wire != shardWireVersion:
+		return fmt.Errorf("health probe: shard speaks wire format %d, proxy speaks %d (proxy and shards must run the same build)",
+			info.Wire, shardWireVersion)
 	case info.Shard != shard || info.Shards != len(p.shards):
 		return fmt.Errorf("health probe: identity mismatch: shard %d/%d, proxy expects %d/%d",
 			info.Shard, info.Shards, shard, len(p.shards))

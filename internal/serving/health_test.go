@@ -13,6 +13,7 @@ import (
 
 	"nanotarget/internal/interest"
 	"nanotarget/internal/population"
+	"nanotarget/internal/rng"
 	"nanotarget/internal/worldcfg"
 )
 
@@ -226,6 +227,55 @@ func TestProxyFailoverRenormalizeVsFail(t *testing.T) {
 		if got := p.UnionShare(context.Background(), clauses); got != want {
 			t.Fatalf("post-restart share = %v, want %v", got, want)
 		}
+	}
+}
+
+// TestProxyReachSharesRenormalize: with one of three shards dead under
+// renormalize, ONE gather renormalizes BOTH reach factors over the two
+// survivors — Σ_live w_s·share_s / Σ_live w_s per factor, the multi-survivor
+// fold — and the proxy reports degraded (the adsapi tier's response stamp).
+func TestProxyReachSharesRenormalize(t *testing.T) {
+	cfg := smallConfig(5)
+	var backends []*LocalBackend
+	var shards []*restartableShard
+	var urls []string
+	for i := 0; i < 3; i++ {
+		srv, b := shardHandler(t, cfg, i, 3)
+		sh := startRestartableShard(t, srv)
+		backends = append(backends, b)
+		shards = append(shards, sh)
+		urls = append(urls, sh.URL())
+	}
+	proxy := newTestProxy(t, cfg, urls, ProxyConfig{
+		Policy: PolicyRenormalize, MaxRetries: 1, Sleep: immediateSleep,
+	})
+	f := randomFilter(rng.New(11))
+	f.Countries = []string{"US"}
+	clauses := [][]interest.ID{{1, 2}, {3}}
+	proxy.ReachShares(context.Background(), f, clauses)
+	if proxy.Degraded() {
+		t.Fatal("healthy proxy reports degraded")
+	}
+
+	shards[1].Kill()
+	gotD, gotU := proxy.ReachShares(context.Background(), f, clauses)
+	var wantD, wantU, mass float64
+	for _, i := range []int{0, 2} {
+		d, u := backends[i].ReachShares(context.Background(), f, clauses)
+		wantD += proxy.weights[i] * d
+		wantU += proxy.weights[i] * u
+		mass += proxy.weights[i]
+	}
+	wantD /= mass
+	wantU /= mass
+	if gotD != wantD || gotU != wantU {
+		t.Fatalf("renormalized ReachShares = (%v, %v), want (%v, %v)", gotD, gotU, wantD, wantU)
+	}
+	if !proxy.Degraded() {
+		t.Fatal("renormalize proxy with a dead shard must report degraded")
+	}
+	if st := proxy.HealthStats(); st.Down != 1 || st.Shards[1].Up {
+		t.Fatalf("dead shard not recorded: %+v", st)
 	}
 }
 

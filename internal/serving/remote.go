@@ -1,6 +1,7 @@
 // Process-sharded serving: the network topology behind `fbadsd -shard-of` /
 // `-proxy`. A ShardServer exposes one shard's reach primitives over a small
-// JSON-over-HTTP RPC; a ProxyBackend implements ReachBackend by
+// HTTP RPC — one binary /shard/v1/shares call per shard per query (wire.go),
+// JSON for the control endpoints; a ProxyBackend implements ReachBackend by
 // scatter-gathering those RPCs across N shard processes — each optionally
 // replicated — with per-RPC timeouts, bounded jittered retry, hedged
 // requests, health-checked degradation (health.go) and per-replica circuit
@@ -34,15 +35,16 @@
 // # Exactness
 //
 // The proxy folds per-shard shares exactly like the in-process
-// ShardedBackend: weight_s · share_s summed in shard-index order, with the
-// same single-shard short-circuit. A shard process builds its model with the
-// same range arithmetic and share-based calibration (NewShardBackend ==
-// ShardedBackend's per-shard construction), so its shares are bit-identical
-// to the in-process shard's; and Go's encoding/json round-trips float64
-// exactly (shortest-representation encoding, exact parse), so the wire adds
-// no error. Healthy-topology proxy answers are therefore byte-identical to
-// ShardedBackend at the same shard split — property-gated in remote_test.go
-// over replicas {1,2} × shards {1,2,3} × seeds {0,1,42}, hedging armed.
+// ShardedBackend: per factor, weight_s · share_s summed in shard-index order,
+// with the same single-shard short-circuit. A shard process builds its model
+// with the same range arithmetic and share-based calibration
+// (NewShardBackend == ShardedBackend's per-shard construction) and evaluates
+// a request with the same evalShares, so its shares are bit-identical to the
+// in-process shard's; and the wire carries each share as its raw 8 IEEE-754
+// bytes, so the hop cannot change a bit. Healthy-topology proxy answers are
+// therefore byte-identical to ShardedBackend at the same shard split —
+// property-gated in remote_test.go over replicas {1,2} × shards {1,2,3} ×
+// seeds {0,1,42}, hedging armed.
 package serving
 
 import (
@@ -76,10 +78,7 @@ const DeadlineHeader = "X-Deadline-Ms"
 // Shard RPC paths (all rooted under /shard/v1).
 const (
 	shardPathHealth = "/shard/v1/health"
-	shardPathDemo   = "/shard/v1/demoshare"
-	shardPathUnion  = "/shard/v1/unionshare"
-	shardPathConj   = "/shard/v1/conjunctionshare"
-	shardPathCond   = "/shard/v1/conditionalaudience"
+	shardPathShares = "/shard/v1/shares"
 	shardPathStats  = "/shard/v1/stats"
 	shardPathWarm   = "/shard/v1/warmrows"
 )
@@ -98,23 +97,9 @@ type ShardHealthInfo struct {
 	// TotalPopulation is the whole topology's user base.
 	TotalPopulation int64 `json:"total_population"`
 	CatalogSize     int   `json:"catalog_size"`
-}
-
-// shardShareRequest is the request body shared by the share endpoints; each
-// endpoint reads the fields it needs.
-type shardShareRequest struct {
-	Filter  *population.DemoFilter `json:"filter,omitempty"`
-	Clauses [][]interest.ID        `json:"clauses,omitempty"`
-	IDs     []interest.ID          `json:"ids,omitempty"`
-	// Population overrides the composition population for
-	// /conditionalaudience (a single-shard deployment serves the global
-	// quantity by passing the topology population). Zero composes over the
-	// shard-local model population.
-	Population int64 `json:"population,omitempty"`
-}
-
-type shardShareResponse struct {
-	Share float64 `json:"share"`
+	// Wire is the data-path wire format version (shardWireVersion); the
+	// proxy refuses a replica that speaks another.
+	Wire int `json:"wire"`
 }
 
 type shardErrorBody struct {
@@ -165,7 +150,7 @@ func NewShardBackend(cfg worldcfg.Config, index, count int) (*LocalBackend, Shar
 	return b, ShardInfo{Index: index, Count: count, Range: r, TotalPopulation: pop}, nil
 }
 
-// ShardServer serves one shard's reach primitives over the JSON shard RPC:
+// ShardServer serves one shard's reach primitives over the shard RPC:
 // the per-process counterpart of a ShardedBackend shard. It is an
 // http.Handler; fbadsd mounts it on -shard-listen. The RPC surface trusts
 // its caller (the proxy validates specs upstream) but still rejects
@@ -188,10 +173,7 @@ func NewShardServer(b *LocalBackend, info ShardInfo) (*ShardServer, error) {
 	s := &ShardServer{backend: b, info: info}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET "+shardPathHealth, s.handleHealth)
-	mux.HandleFunc("POST "+shardPathDemo, s.handleDemoShare)
-	mux.HandleFunc("POST "+shardPathUnion, s.handleUnionShare)
-	mux.HandleFunc("POST "+shardPathConj, s.handleConjunctionShare)
-	mux.HandleFunc("POST "+shardPathCond, s.handleConditionalAudience)
+	mux.HandleFunc("POST "+shardPathShares, s.handleShares)
 	mux.HandleFunc("GET "+shardPathStats, s.handleStats)
 	mux.HandleFunc("POST "+shardPathWarm, s.handleWarmRows)
 	s.mux = mux
@@ -254,40 +236,6 @@ func (s *ShardServer) writeError(w http.ResponseWriter, status int, msg string) 
 	w.Write(buf)
 }
 
-// decodeShareRequest reads and validates a share-request body: well-formed
-// JSON with no unknown fields, and every interest ID present in the shard's
-// catalog.
-func (s *ShardServer) decodeShareRequest(w http.ResponseWriter, r *http.Request) (shardShareRequest, bool) {
-	var req shardShareRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "malformed request body: "+err.Error())
-		return req, false
-	}
-	cat := s.backend.Catalog()
-	check := func(id interest.ID) bool {
-		if _, err := cat.Get(id); err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown interest %d", id))
-			return false
-		}
-		return true
-	}
-	for _, clause := range req.Clauses {
-		for _, id := range clause {
-			if !check(id) {
-				return req, false
-			}
-		}
-	}
-	for _, id := range req.IDs {
-		if !check(id) {
-			return req, false
-		}
-	}
-	return req, true
-}
-
 func (s *ShardServer) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, ShardHealthInfo{
 		Status:          "ok",
@@ -298,69 +246,48 @@ func (s *ShardServer) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Population:      s.backend.Population(),
 		TotalPopulation: s.info.TotalPopulation,
 		CatalogSize:     s.backend.Catalog().Len(),
+		Wire:            shardWireVersion,
 	})
 }
 
-func (s *ShardServer) handleDemoShare(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeShareRequest(w, r)
-	if !ok || s.deadlineExpired(w, r) {
+// handleShares serves the data path: it strictly decodes a shares request
+// (wire.go, at most maxSharesBody bytes), checks every interest ID against
+// the shard's catalog, and answers the requested factors' raw float64 bits.
+func (s *ShardServer) handleShares(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSharesBody))
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "reading request body: "+err.Error())
 		return
 	}
-	var f population.DemoFilter
-	if req.Filter != nil {
-		f = *req.Filter
-	}
-	s.writeJSON(w, shardShareResponse{Share: s.backend.DemoShare(r.Context(), f)})
-}
-
-func (s *ShardServer) handleUnionShare(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeShareRequest(w, r)
-	if !ok || s.deadlineExpired(w, r) {
+	q, err := parseSharesRequest(body)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "malformed shares request: "+err.Error())
 		return
 	}
-	s.writeJSON(w, shardShareResponse{Share: s.backend.UnionShare(r.Context(), req.Clauses)})
-}
-
-func (s *ShardServer) handleConjunctionShare(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeShareRequest(w, r)
-	if !ok || s.deadlineExpired(w, r) {
-		return
-	}
-	s.writeJSON(w, shardShareResponse{Share: s.backend.Engine().ConjunctionShare(req.IDs)})
-}
-
-// handleConditionalAudience serves the §4.1 conditional audience. With no
-// population override it rides the engine's cached composite level — exact
-// for this shard's own world. A caller that wants the GLOBAL quantity from a
-// single-shard topology passes the total population; a multi-shard proxy
-// does not call this endpoint at all (composition must happen after the
-// factor shares are gathered, so it scatters /demoshare and
-// /conjunctionshare instead).
-func (s *ShardServer) handleConditionalAudience(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeShareRequest(w, r)
-	if !ok || s.deadlineExpired(w, r) {
-		return
-	}
-	var f population.DemoFilter
-	if req.Filter != nil {
-		f = *req.Filter
-	}
-	if req.Population < 0 {
-		s.writeError(w, http.StatusBadRequest, "negative population override")
-		return
-	}
-	var v float64
-	if req.Population == 0 || req.Population == s.backend.Population() {
-		v = s.backend.ConditionalAudience(r.Context(), f, req.IDs)
-	} else {
-		e := s.backend.Engine()
-		base := float64(req.Population)*e.DemoShare(f) - 1
-		if base < 0 {
-			base = 0
+	for _, clause := range q.clauses {
+		if !s.knownInterests(w, clause) {
+			return
 		}
-		v = 1 + base*e.ConjunctionShare(req.IDs)
 	}
-	s.writeJSON(w, shardShareResponse{Share: v})
+	if !s.knownInterests(w, q.ids) || s.deadlineExpired(w, r) {
+		return
+	}
+	v := evalShares(s.backend.engine, &q)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Write(appendShares(make([]byte, 0, 8*numFactors), q.mask, &v))
+}
+
+// knownInterests reports — and answers 400 for the first miss — whether
+// every ID is in the shard's catalog.
+func (s *ShardServer) knownInterests(w http.ResponseWriter, ids []interest.ID) bool {
+	cat := s.backend.Catalog()
+	for _, id := range ids {
+		if _, err := cat.Get(id); err != nil {
+			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown interest %d", id))
+			return false
+		}
+	}
+	return true
 }
 
 func (s *ShardServer) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -679,26 +606,27 @@ func (p *ProxyBackend) Population() int64 { return p.pop }
 // with *UnavailableError when the topology cannot serve under the policy,
 // and with *CanceledError when the caller's context ends mid-gather.
 func (p *ProxyBackend) DemoShare(ctx context.Context, f population.DemoFilter) float64 {
-	return p.gatherShare(ctx, shardPathDemo, shardShareRequest{Filter: &f})
+	return p.gatherShares(ctx, sharesRequest{mask: 1 << factorDemo, filter: f})[factorDemo]
 }
 
 // UnionShare implements ReachBackend.
 func (p *ProxyBackend) UnionShare(ctx context.Context, clauses [][]interest.ID) float64 {
-	return p.gatherShare(ctx, shardPathUnion, shardShareRequest{Clauses: clauses})
+	return p.gatherShares(ctx, sharesRequest{mask: 1 << factorUnion, clauses: clauses})[factorUnion]
+}
+
+// ReachShares implements ReachBackend: both factors ride one RPC per shard.
+func (p *ProxyBackend) ReachShares(ctx context.Context, f population.DemoFilter, clauses [][]interest.ID) (demo, union float64) {
+	v := p.gatherShares(ctx, sharesRequest{mask: 1<<factorDemo | 1<<factorUnion, filter: f, clauses: clauses})
+	return v[factorDemo], v[factorUnion]
 }
 
 // ConditionalAudience implements ReachBackend: both factor shares are
-// scatter-gathered and composed with the GLOBAL population — the identical
-// arithmetic ShardedBackend.ConditionalAudience applies, so healthy-topology
-// answers match it byte-for-byte.
+// gathered in one RPC per shard and composed with the GLOBAL population —
+// the identical arithmetic ShardedBackend.ConditionalAudience applies, so
+// healthy-topology answers match it byte-for-byte.
 func (p *ProxyBackend) ConditionalAudience(ctx context.Context, f population.DemoFilter, ids []interest.ID) float64 {
-	demo := p.gatherShare(ctx, shardPathDemo, shardShareRequest{Filter: &f})
-	conj := p.gatherShare(ctx, shardPathConj, shardShareRequest{IDs: ids})
-	base := float64(p.pop)*demo - 1
-	if base < 0 {
-		base = 0
-	}
-	return 1 + base*conj
+	v := p.gatherShares(ctx, sharesRequest{mask: 1<<factorDemo | 1<<factorConj, filter: f, ids: ids})
+	return conditionalAudience(p.pop, v[factorDemo], v[factorConj])
 }
 
 // AudienceStats implements ReachBackend: the fold of every reachable shard's
@@ -711,7 +639,7 @@ func (p *ProxyBackend) AudienceStats(ctx context.Context) audience.Stats {
 	stats := make([]*audience.Stats, n)
 	_ = parallel.ForEach(ctx, n, n, func(i int) error {
 		var st audience.Stats
-		if err := p.callShard(ctx, i, http.MethodGet, shardPathStats, nil, &st, bud); err == nil {
+		if data, err := p.callShard(ctx, i, http.MethodGet, shardPathStats, nil, bud); err == nil && json.Unmarshal(data, &st) == nil {
 			stats[i] = &st
 		}
 		return nil
@@ -735,7 +663,7 @@ func (p *ProxyBackend) WarmRows(ctx context.Context) {
 		for r := range p.shards[i] {
 			i, r := i, r
 			units = append(units, func() error {
-				_, _ = p.callReplica(ctx, i, r, http.MethodPost, shardPathWarm, mustMarshal(&shardShareRequest{}), nil)
+				_, _ = p.callReplica(ctx, i, r, http.MethodPost, shardPathWarm, nil, nil)
 				return nil
 			})
 		}
@@ -743,10 +671,12 @@ func (p *ProxyBackend) WarmRows(ctx context.Context) {
 	_ = parallel.ForEach(ctx, len(units), len(units), func(k int) error { return units[k]() })
 }
 
-// gatherShare scatters one share RPC across the topology and folds the
-// answers. Per shard the RPC runs against the shard's replica set
-// (callShard): only a shard with NO usable replica counts as failed. The
-// fold is deterministic (shard-index order) in every mode:
+// gatherShares scatters one /shard/v1/shares RPC carrying q across the
+// topology and folds each requested factor's answers. The body is encoded
+// once and sent to every shard. Per shard the RPC runs against the shard's
+// replica set (callShard): only a shard with NO usable replica counts as
+// failed. Every factor folds over the same answering shards, deterministically
+// (shard-index order) in every mode:
 //
 //   - all shards answered: Σ weight_s · share_s — ShardedBackend's exact
 //     arithmetic, with the same single-shard short-circuit;
@@ -761,26 +691,28 @@ func (p *ProxyBackend) WarmRows(ctx context.Context) {
 // The caller's ctx threads into every RPC; if it ends mid-gather the method
 // panics *CanceledError instead of folding partial answers, and the
 // failures it caused are not held against the replicas.
-func (p *ProxyBackend) gatherShare(ctx context.Context, path string, req shardShareRequest) float64 {
+func (p *ProxyBackend) gatherShares(ctx context.Context, q sharesRequest) shares {
 	n := len(p.shards)
 	dead, deadURLs := p.health.deadShards()
 	if p.policy == PolicyFail && len(deadURLs) > 0 {
 		panic(&UnavailableError{Down: deadURLs})
 	}
+	body := q.appendTo(nil)
 	bud := p.newQueryBudget()
-	shares := make([]float64, n)
+	per := make([]shares, n)
 	errs := make([]error, n)
 	_ = parallel.ForEach(ctx, n, n, func(i int) error {
 		if dead[i] {
 			errs[i] = errors.New("skipped: every replica marked down")
 			return nil
 		}
-		var out shardShareResponse
-		if err := p.callShard(ctx, i, http.MethodPost, path, &req, &out, bud); err != nil {
-			errs[i] = err
-			return nil
+		data, err := p.callShard(ctx, i, http.MethodPost, shardPathShares, body, bud)
+		if err == nil {
+			if per[i], err = parseShares(q.mask, data); err != nil {
+				err = fmt.Errorf("serving: shard %d %s: bad response: %w", i, shardPathShares, err)
+			}
 		}
-		shares[i] = out.Share
+		errs[i] = err
 		return nil
 	})
 	if err := ctx.Err(); err != nil {
@@ -801,11 +733,13 @@ func (p *ProxyBackend) gatherShare(ctx context.Context, path string, req shardSh
 	if len(failedURLs) == 0 {
 		// Healthy topology: ShardedBackend's exact fold.
 		if n == 1 {
-			return shares[0]
+			return per[0]
 		}
-		total := 0.0
+		var total shares
 		for i, w := range p.weights {
-			total += w * shares[i]
+			for k := range total {
+				total[k] += w * per[i][k]
+			}
 		}
 		return total
 	}
@@ -814,18 +748,24 @@ func (p *ProxyBackend) gatherShare(ctx context.Context, path string, req shardSh
 	}
 	if live == 1 {
 		// One survivor: its renormalized weight is exactly 1, so return the
-		// bare share (mirrors the single-shard short-circuit and avoids the
+		// bare shares (mirrors the single-shard short-circuit and avoids the
 		// (w·s)/w rounding detour).
-		return shares[lastLive]
+		return per[lastLive]
 	}
-	total, mass := 0.0, 0.0
+	var total shares
+	mass := 0.0
 	for i, err := range errs {
 		if err == nil {
-			total += p.weights[i] * shares[i]
+			for k := range total {
+				total[k] += p.weights[i] * per[i][k]
+			}
 			mass += p.weights[i]
 		}
 	}
-	return total / mass
+	for k := range total {
+		total[k] /= mass
+	}
+	return total
 }
 
 // queryBudget is one query's shared retry allowance across its whole shard
@@ -850,40 +790,20 @@ func (b *queryBudget) take() bool {
 }
 
 // callShard performs one shard RPC against the shard's replica set and
-// decodes the winning response. The preferred (lowest-index) live replica
+// returns the winning response body. The preferred (lowest-index) live replica
 // serves it; on failure the next live replica takes over (exact — replicas
 // are byte-identical worlds), and with hedging armed a duplicate races the
 // slow attempt instead of waiting for it to fail. A shard-level error means
 // NO usable replica produced an answer.
-func (p *ProxyBackend) callShard(ctx context.Context, shard int, method, path string, in, out any, bud *queryBudget) error {
-	var body []byte
-	if in != nil {
-		var err error
-		if body, err = json.Marshal(in); err != nil {
-			return fmt.Errorf("serving: proxy: marshal %s: %w", path, err)
-		}
-	}
+func (p *ProxyBackend) callShard(ctx context.Context, shard int, method, path string, body []byte, bud *queryBudget) ([]byte, error) {
 	candidates := p.health.liveReplicas(shard)
 	if len(candidates) == 0 {
-		return fmt.Errorf("serving: shard %d: all %d replica(s) marked down", shard, len(p.shards[shard]))
+		return nil, fmt.Errorf("serving: shard %d: all %d replica(s) marked down", shard, len(p.shards[shard]))
 	}
-	var data []byte
-	var err error
 	if p.hedgeAfter > 0 && len(candidates) > 1 {
-		data, err = p.raceReplicas(ctx, shard, candidates, method, path, body, bud)
-	} else {
-		data, err = p.failoverReplicas(ctx, shard, candidates, method, path, body, bud)
+		return p.raceReplicas(ctx, shard, candidates, method, path, body, bud)
 	}
-	if err != nil {
-		return err
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(data, out); err != nil {
-		return fmt.Errorf("serving: shard %d %s: bad response: %w", shard, path, err)
-	}
-	return nil
+	return p.failoverReplicas(ctx, shard, candidates, method, path, body, bud)
 }
 
 // failoverReplicas tries the candidate replicas strictly in order (hedging
@@ -1115,7 +1035,7 @@ func (p *ProxyBackend) roundTrip(ctx context.Context, method, url string, body [
 		return nil, 0, nil, err
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", "application/octet-stream")
 	}
 	if d, ok := rctx.Deadline(); ok {
 		ms := time.Until(d).Milliseconds()
@@ -1134,16 +1054,6 @@ func (p *ProxyBackend) roundTrip(ctx context.Context, method, url string, body [
 		return nil, 0, nil, err
 	}
 	return data, resp.StatusCode, resp.Header, nil
-}
-
-// mustMarshal marshals a plain request struct (cannot fail for the fixed
-// shapes the proxy sends).
-func mustMarshal(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
-	}
-	return b
 }
 
 func truncate(b []byte) string {

@@ -3,15 +3,16 @@ package serving
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
 	"nanotarget/internal/interest"
-	"nanotarget/internal/population"
 	"nanotarget/internal/rng"
 	"nanotarget/internal/worldcfg"
 )
@@ -88,12 +89,12 @@ func newTestProxy(t *testing.T, cfg worldcfg.Config, urls []string, pc ProxyConf
 }
 
 // TestProxyMatchesShardedBackend is the tentpole's acceptance property: for
-// random conjunctions/unions, demo filters and conditional audiences, the
-// network proxy's answers over httptest shard processes are BYTE-IDENTICAL
-// to the in-process ShardedBackend at the same shard split — across
-// replicas {1,2} × shards {1,2,3} × seeds {0,1,42}. This is the whole
-// exactness argument for the topology: per-shard shares survive the JSON
-// hop exactly, and the proxy folds them with ShardedBackend's arithmetic —
+// random conjunctions/unions, demo filters, reach-share pairs and conditional
+// audiences, the network proxy's answers over httptest shard processes are
+// BYTE-IDENTICAL to the in-process ShardedBackend at the same shard split —
+// across replicas {1,2} × shards {1,2,3} × seeds {0,1,42}. This is the whole
+// exactness argument for the topology: per-shard shares cross the wire as
+// raw float64 bits, and the proxy folds them with ShardedBackend's arithmetic —
 // independent of WHICH replica of a shard answers, because the replicas are
 // byte-identical worlds.
 //
@@ -155,6 +156,15 @@ func TestProxyMatchesShardedBackend(t *testing.T) {
 					if got, want := proxy.ConditionalAudience(context.Background(), f, conj), sharded.ConditionalAudience(context.Background(), f, conj); got != want {
 						t.Fatalf("seed %d shards=%d replicas=%d trial %d: proxy ConditionalAudience = %v, sharded %v — must be byte-identical",
 							seed, shards, replicas, trial, got, want)
+					}
+					// The reach estimate's one-RPC path: both factors match
+					// ShardedBackend's and the separate per-factor calls.
+					gotD, gotU := proxy.ReachShares(context.Background(), f, clauses)
+					wantD, wantU := sharded.ReachShares(context.Background(), f, clauses)
+					sepD, sepU := proxy.DemoShare(context.Background(), f), proxy.UnionShare(context.Background(), clauses)
+					if gotD != wantD || gotU != wantU || gotD != sepD || gotU != sepU {
+						t.Fatalf("seed %d shards=%d replicas=%d trial %d: proxy ReachShares = (%v, %v), sharded (%v, %v), separate calls (%v, %v) — must be byte-identical",
+							seed, shards, replicas, trial, gotD, gotU, wantD, wantU, sepD, sepU)
 					}
 				}
 				st := proxy.HealthStats()
@@ -236,8 +246,10 @@ func TestNewProxyBackendErrors(t *testing.T) {
 }
 
 // TestShardServerEndpoints exercises the RPC surface directly: health
-// identity, share endpoints, the conditionalaudience population override,
-// and the rejection paths (malformed body, unknown interest, wrong method).
+// identity, the shares endpoint under every factor mask (bit-identical to the
+// shard's own engine, including the empty union of a spec with no
+// interests), and the rejection paths — every malformed binary body, unknown
+// interests, wrong methods and the deleted per-factor endpoints.
 func TestShardServerEndpoints(t *testing.T) {
 	cfg := smallConfig(1)
 	b, info, err := NewShardBackend(cfg, 0, 2)
@@ -258,51 +270,61 @@ func TestShardServerEndpoints(t *testing.T) {
 		health.Lo != wantRange.Lo || health.Hi != wantRange.Hi ||
 		health.Population != wantRange.Size() ||
 		health.TotalPopulation != cfg.Population.Population ||
-		health.CatalogSize != cfg.Population.CatalogSize {
+		health.CatalogSize != cfg.Population.CatalogSize ||
+		health.Wire != shardWireVersion {
 		t.Fatalf("health identity wrong: %+v", health)
 	}
 
-	var out shardShareResponse
 	f := randomFilter(rng.New(9))
-	postJSON(t, ts.URL+shardPathDemo, shardShareRequest{Filter: &f}, &out)
-	if want := b.DemoShare(context.Background(), f); out.Share != want {
-		t.Fatalf("DemoShare over RPC = %v, local %v", out.Share, want)
+	clauses := [][]interest.ID{{1, 2}, {3}}
+	ids := []interest.ID{1, 2}
+	e := b.Engine()
+	want := shares{factorDemo: e.DemoShare(f), factorUnion: e.UnionShare(clauses), factorConj: e.ConjunctionShare(ids)}
+	for mask := byte(1); mask < 1<<numFactors; mask++ {
+		q := sharesRequest{mask: mask, filter: f, clauses: clauses, ids: ids}
+		got := postShares(t, ts.URL, q)
+		for k := range got {
+			w := 0.0
+			if q.has(k) {
+				w = want[k]
+			}
+			if math.Float64bits(got[k]) != math.Float64bits(w) {
+				t.Fatalf("mask %#x factor %d over RPC = %v, local %v", mask, k, got[k], w)
+			}
+		}
 	}
-	postJSON(t, ts.URL+shardPathUnion, shardShareRequest{Clauses: [][]interest.ID{{1, 2}, {3}}}, &out)
-	if want := b.UnionShare(context.Background(), [][]interest.ID{{1, 2}, {3}}); out.Share != want {
-		t.Fatalf("UnionShare over RPC = %v, local %v", out.Share, want)
-	}
-	postJSON(t, ts.URL+shardPathConj, shardShareRequest{IDs: []interest.ID{1, 2}}, &out)
-	if want := b.Engine().ConjunctionShare([]interest.ID{1, 2}); out.Share != want {
-		t.Fatalf("ConjunctionShare over RPC = %v, local %v", out.Share, want)
-	}
-
-	// The population override: shard-local by default, global on request.
-	ids := []interest.ID{1}
-	postJSON(t, ts.URL+shardPathCond, shardShareRequest{IDs: ids}, &out)
-	if want := b.ConditionalAudience(context.Background(), population.DemoFilter{}, ids); out.Share != want {
-		t.Fatalf("shard-local ConditionalAudience = %v, local %v", out.Share, want)
-	}
-	local := out.Share
-	postJSON(t, ts.URL+shardPathCond,
-		shardShareRequest{IDs: ids, Population: cfg.Population.Population}, &out)
-	if out.Share <= local {
-		t.Fatalf("global-population ConditionalAudience %v should exceed shard-local %v", out.Share, local)
+	if got, want := postShares(t, ts.URL, sharesRequest{mask: 1 << factorUnion})[factorUnion], e.UnionShare(nil); got != want {
+		t.Fatalf("empty union over RPC = %v, local %v", got, want)
 	}
 
+	union := func(ids ...interest.ID) []byte {
+		return (&sharesRequest{mask: 1 << factorUnion, clauses: [][]interest.ID{ids}}).appendTo(nil)
+	}
 	for _, tc := range []struct {
-		name, method, path, body string
-		wantStatus               int
+		name, method, path string
+		body               []byte
+		wantStatus         int
 	}{
-		{"malformed body", http.MethodPost, shardPathUnion, "{", http.StatusBadRequest},
-		{"unknown field", http.MethodPost, shardPathUnion, `{"bogus": 1}`, http.StatusBadRequest},
-		{"unknown interest", http.MethodPost, shardPathUnion, `{"clauses": [[999999]]}`, http.StatusBadRequest},
-		{"unknown conjunction id", http.MethodPost, shardPathConj, `{"ids": [999999]}`, http.StatusBadRequest},
-		{"negative population", http.MethodPost, shardPathCond, `{"population": -1}`, http.StatusBadRequest},
-		{"wrong method", http.MethodGet, shardPathUnion, "", http.StatusMethodNotAllowed},
-		{"health wrong method", http.MethodPost, shardPathHealth, "", http.StatusMethodNotAllowed},
+		{"empty body", http.MethodPost, shardPathShares, nil, http.StatusBadRequest},
+		{"no factor", http.MethodPost, shardPathShares, []byte{0}, http.StatusBadRequest},
+		{"unknown factor bit", http.MethodPost, shardPathShares, []byte{1 << numFactors}, http.StatusBadRequest},
+		{"truncated varint", http.MethodPost, shardPathShares, []byte{1 << factorUnion, 0x80}, http.StatusBadRequest},
+		{"non-minimal varint", http.MethodPost, shardPathShares, []byte{1 << factorUnion, 0x80, 0x00}, http.StatusBadRequest},
+		{"trailing bytes", http.MethodPost, shardPathShares, append(union(1), 0), http.StatusBadRequest},
+		{"oversized clause count", http.MethodPost, shardPathShares,
+			binary.AppendUvarint([]byte{1 << factorUnion}, 1<<40), http.StatusBadRequest},
+		{"clause overruns body", http.MethodPost, shardPathShares, []byte{1 << factorUnion, 1, 8, 0, 0, 0, 1}, http.StatusBadRequest},
+		{"ragged clause key", http.MethodPost, shardPathShares, []byte{1 << factorUnion, 1, 3, 0, 0, 1}, http.StatusBadRequest},
+		{"truncated filter", http.MethodPost, shardPathShares, []byte{1 << factorDemo, 1}, http.StatusBadRequest},
+		{"oversized body", http.MethodPost, shardPathShares, append(union(1), make([]byte, maxSharesBody)...), http.StatusBadRequest},
+		{"unknown interest", http.MethodPost, shardPathShares, union(999999), http.StatusBadRequest},
+		{"unknown conjunction id", http.MethodPost, shardPathShares,
+			(&sharesRequest{mask: 1 << factorConj, ids: []interest.ID{999999}}).appendTo(nil), http.StatusBadRequest},
+		{"wrong method", http.MethodGet, shardPathShares, nil, http.StatusMethodNotAllowed},
+		{"health wrong method", http.MethodPost, shardPathHealth, nil, http.StatusMethodNotAllowed},
+		{"per-factor endpoint deleted", http.MethodPost, "/shard/v1/unionshare", union(1), http.StatusNotFound},
 	} {
-		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, bytes.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,21 +403,24 @@ func getJSON(t *testing.T, url string, out any) {
 	}
 }
 
-func postJSON(t *testing.T, url string, in, out any) {
+// postShares sends one shares request and decodes the 200 answer.
+func postShares(t *testing.T, base string, q sharesRequest) shares {
 	t.Helper()
-	body, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	resp, err := http.Post(base+shardPathShares, "application/octet-stream", bytes.NewReader(q.appendTo(nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST %s: HTTP %d", url, resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s: HTTP %d: %s", shardPathShares, resp.StatusCode, data)
+	}
+	v, err := parseShares(q.mask, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }

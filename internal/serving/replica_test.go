@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,6 +18,22 @@ import (
 func zeroJitter(shard, replica, attempt int) float64 { return 0 }
 
 func immediateSleep(ctx context.Context, d time.Duration) error { return nil }
+
+// hedgeOnFailureSleep is a ProxyConfig.Sleep whose retry backoffs return at
+// once but whose hedge-arm sleeps (d == hedgeAfter) block until the race
+// ends, so a race escalates to the next replica only when an attempt fails.
+// Tests that assert a killed replica is marked down need this schedule: with
+// an instant hedge timer the survivor can win while the corpse is still in
+// its retry loop, and a canceled corpse gets the neutral OnCanceled verdict.
+func hedgeOnFailureSleep(hedgeAfter time.Duration) func(ctx context.Context, d time.Duration) error {
+	return func(ctx context.Context, d time.Duration) error {
+		if d != hedgeAfter {
+			return nil
+		}
+		<-ctx.Done()
+		return ctx.Err()
+	}
+}
 
 func TestParseShardTopology(t *testing.T) {
 	got, err := ParseShardTopology("u0a|u0b, u1 ,u2")
@@ -64,7 +81,7 @@ func TestProxyReplicaFailoverExact(t *testing.T) {
 			MaxRetries: 1, RetryBase: time.Millisecond,
 			HedgeAfter: time.Microsecond,
 			Jitter:     zeroJitter,
-			Sleep:      immediateSleep,
+			Sleep:      hedgeOnFailureSleep(time.Microsecond),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -205,18 +222,24 @@ func TestProxyReplicaKilledMidHedge(t *testing.T) {
 	live := httptest.NewServer(liveSrv)
 	t.Cleanup(live.Close)
 
-	// The injected Sleep kills the hedge target the first time the proxy
-	// sleeps — which is the hedge arm (the hung primary produces no retries) —
-	// so the hedge launches at a freshly dead replica.
-	var once sync.Once
+	// The first hedge-arm sleep kills the hedge target and returns, so the
+	// hedge launches at a freshly dead replica. Every later hedge arm blocks
+	// until the race ends (hedgeOnFailureSleep): the race can step past the
+	// corpse only through the victim's own failure, which must mark it down.
+	const hedgeAfter = time.Microsecond
+	var killed atomic.Bool
+	blockHedge := hedgeOnFailureSleep(hedgeAfter)
 	proxy, err := NewProxyBackend(cfg, ProxyConfig{
 		Shards:     [][]string{{hung.URL, victim.URL(), live.URL}},
-		HedgeAfter: time.Microsecond,
+		HedgeAfter: hedgeAfter,
 		MaxRetries: 1, RetryBase: time.Millisecond,
 		Jitter: zeroJitter,
 		Sleep: func(ctx context.Context, d time.Duration) error {
-			once.Do(victim.Kill)
-			return nil
+			if d == hedgeAfter && killed.CompareAndSwap(false, true) {
+				victim.Kill()
+				return nil
+			}
+			return blockHedge(ctx, d)
 		},
 	})
 	if err != nil {
@@ -262,6 +285,7 @@ func TestProbeRejectsWrongWorldReplica(t *testing.T) {
 			Status: "ok", Shard: 0, Shards: 1,
 			Lo: 5, Hi: pop, Population: pop - 5,
 			TotalPopulation: pop, CatalogSize: cfg.Population.CatalogSize,
+			Wire: shardWireVersion,
 		})
 	}))
 	t.Cleanup(impostor.Close)
@@ -309,6 +333,39 @@ func TestProbeRejectsWrongWorldReplica(t *testing.T) {
 	proxy2.ProbeNow(context.Background())
 	if st := proxy2.HealthStats(); st.Down != 1 {
 		t.Fatalf("wrong-index replica not rejected: %+v", st)
+	}
+
+	// A replica of the right world from an older build: its identity matches
+	// but its health omits the wire version, and it 404s /shard/v1/shares.
+	// The probe must hold it down, not resurrect it after every failed RPC.
+	oldBuild := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != shardPathHealth {
+			http.NotFound(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		good.ServeHTTP(rec, r)
+		var info map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
+			t.Error(err)
+		}
+		delete(info, "wire")
+		json.NewEncoder(w).Encode(info)
+	}))
+	t.Cleanup(oldBuild.Close)
+	proxy3, err := NewProxyBackend(cfg, ProxyConfig{Shards: [][]string{{oldBuild.URL, goodTS.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		proxy3.ProbeNow(context.Background())
+		st := proxy3.HealthStats()
+		if st.Down != 1 || st.Shards[0].Up || !strings.Contains(st.Shards[0].LastError, "wire format") {
+			t.Fatalf("round %d: old-build replica should be down with a wire verdict: %+v", round, st)
+		}
+		if got, want := proxy3.UnionShare(context.Background(), clauses), b0.UnionShare(context.Background(), clauses); got != want {
+			t.Fatalf("round %d: share with old-build replica excluded = %v, want %v", round, got, want)
+		}
 	}
 }
 

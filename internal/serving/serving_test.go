@@ -99,6 +99,16 @@ func TestShardedReachMatchesSingleWorld(t *testing.T) {
 				wantC := local.ConditionalAudience(context.Background(), f, conj)
 				gotC := sharded.ConditionalAudience(context.Background(), f, conj)
 				checkShare(t, "ConditionalAudience", seed, shards, trial, gotC, wantC)
+
+				// The reach estimate's one-call path agrees like its factors.
+				localD, localU := local.ReachShares(context.Background(), f, clauses)
+				if localD != wantD || localU != want {
+					t.Fatalf("seed %d trial %d: local ReachShares = (%v, %v), separate calls (%v, %v)",
+						seed, trial, localD, localU, wantD, want)
+				}
+				gotRD, gotRU := sharded.ReachShares(context.Background(), f, clauses)
+				checkShare(t, "ReachShares demo", seed, shards, trial, gotRD, wantD)
+				checkShare(t, "ReachShares union", seed, shards, trial, gotRU, want)
 			}
 		}
 	}

@@ -102,56 +102,60 @@ func (b *ShardedBackend) Catalog() *interest.Catalog { return b.catalog }
 // Population implements ReachBackend.
 func (b *ShardedBackend) Population() int64 { return b.pop }
 
-// scatterGather fans eval out to every shard under the caller's context and
-// folds the per-shard shares into the global share in shard-index order.
-// eval never fails, so the only parallel.Map error is the context's: a
-// caller that gave up mid-fan-out gets *CanceledError (panic, recovered by
-// the HTTP tier) instead of a fabricated share. Shards are CPU-bound, so
-// cancellation stops UNCLAIMED shard evaluations; claimed ones finish.
-func (b *ShardedBackend) scatterGather(ctx context.Context, eval func(s *shard) float64) float64 {
+// scatterGather evaluates the request's factors on every shard under the
+// caller's context and folds each factor's per-shard shares into the global
+// share in shard-index order. Evaluation never fails, so the only
+// parallel.Map error is the context's: a caller that gave up mid-fan-out gets
+// *CanceledError (panic, recovered by the HTTP tier) instead of a fabricated
+// share. Shards are CPU-bound, so cancellation stops UNCLAIMED shard
+// evaluations; claimed ones finish.
+func (b *ShardedBackend) scatterGather(ctx context.Context, q sharesRequest) shares {
 	if len(b.shards) == 1 {
 		// Single shard: skip the fan-out; weight is exactly 1.0 so the
-		// gather arithmetic below would return the bare share anyway.
-		return eval(b.shards[0])
+		// gather arithmetic below would return the bare shares anyway.
+		return evalShares(b.shards[0].engine, &q)
 	}
-	shares, err := parallel.Map(ctx, len(b.shards), b.workers, func(i int) (float64, error) {
-		return eval(b.shards[i]), nil
+	per, err := parallel.Map(ctx, len(b.shards), b.workers, func(i int) (shares, error) {
+		return evalShares(b.shards[i].engine, &q), nil
 	})
 	if err != nil {
 		panic(&CanceledError{Err: err})
 	}
-	total := 0.0
+	var total shares
 	for i, s := range b.shards {
-		total += s.weight * shares[i]
+		for k := range total {
+			total[k] += s.weight * per[i][k]
+		}
 	}
 	return total
 }
 
 // DemoShare implements ReachBackend.
 func (b *ShardedBackend) DemoShare(ctx context.Context, f population.DemoFilter) float64 {
-	return b.scatterGather(ctx, func(s *shard) float64 { return s.engine.DemoShare(f) })
+	return b.scatterGather(ctx, sharesRequest{mask: 1 << factorDemo, filter: f})[factorDemo]
 }
 
 // UnionShare implements ReachBackend.
 func (b *ShardedBackend) UnionShare(ctx context.Context, clauses [][]interest.ID) float64 {
-	return b.scatterGather(ctx, func(s *shard) float64 { return s.engine.UnionShare(clauses) })
+	return b.scatterGather(ctx, sharesRequest{mask: 1 << factorUnion, clauses: clauses})[factorUnion]
 }
 
-// ConditionalAudience implements ReachBackend: both factor shares are
-// scatter-gathered (each served from the shards' cached demo and conjunction
-// levels) and composed with the global population — the same
-// 1 + max(0, Pop·demoShare − 1)·conjShare arithmetic the local engine's
-// ExpectedAudienceConditional applies, so one shard reproduces the local
-// path byte-identically and more shards deviate only by the gathers'
-// reassociation.
+// ReachShares implements ReachBackend: one scatter evaluates both factors on
+// each shard.
+func (b *ShardedBackend) ReachShares(ctx context.Context, f population.DemoFilter, clauses [][]interest.ID) (demo, union float64) {
+	v := b.scatterGather(ctx, sharesRequest{mask: 1<<factorDemo | 1<<factorUnion, filter: f, clauses: clauses})
+	return v[factorDemo], v[factorUnion]
+}
+
+// ConditionalAudience implements ReachBackend: one scatter gathers both
+// factor shares (each served from the shards' cached demo and conjunction
+// levels), composed with the global population — the same arithmetic the
+// local engine's ExpectedAudienceConditional applies, so one shard
+// reproduces the local path byte-identically and more shards deviate only by
+// the gather's reassociation.
 func (b *ShardedBackend) ConditionalAudience(ctx context.Context, f population.DemoFilter, ids []interest.ID) float64 {
-	demo := b.scatterGather(ctx, func(s *shard) float64 { return s.engine.DemoShare(f) })
-	conj := b.scatterGather(ctx, func(s *shard) float64 { return s.engine.ConjunctionShare(ids) })
-	base := float64(b.pop)*demo - 1
-	if base < 0 {
-		base = 0
-	}
-	return 1 + base*conj
+	v := b.scatterGather(ctx, sharesRequest{mask: 1<<factorDemo | 1<<factorConj, filter: f, ids: ids})
+	return conditionalAudience(b.pop, v[factorDemo], v[factorConj])
 }
 
 // AudienceStats implements ReachBackend: the fold of every shard's cache
