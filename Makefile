@@ -69,6 +69,8 @@ FUZZ_TARGETS = \
 	FuzzKeyOrderSensitivity:./internal/audience \
 	FuzzCompositeKey:./internal/audience \
 	FuzzShardSharesRequest:./internal/serving \
+	FuzzParseRetryAfter:./internal/serving \
+	FuzzParseShardTopology:./internal/serving \
 	FuzzColumnarVAS:./internal/core
 
 fuzz-smoke:

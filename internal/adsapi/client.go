@@ -9,11 +9,11 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"time"
 
 	"nanotarget/internal/interest"
+	"nanotarget/internal/serving"
 )
 
 // ClientConfig configures the typed Marketing API client.
@@ -131,7 +131,7 @@ func (c *Client) do(ctx context.Context, method, rawURL string, body []byte, out
 		if resp.StatusCode == http.StatusTooManyRequests {
 			// Admission throttling: always retryable regardless of the body's
 			// error code, waiting as long as the server advertises.
-			if ra := retryAfter(resp.Header.Get("Retry-After")); ra > 0 {
+			if ra := serving.ParseRetryAfter(resp.Header.Get("Retry-After")); ra > 0 {
 				wait = ra
 			}
 			var env errorEnvelope
@@ -162,19 +162,6 @@ func (c *Client) do(ctx context.Context, method, rawURL string, body []byte, out
 		return nil
 	}
 	return fmt.Errorf("adsapi: retries exhausted: %w", lastErr)
-}
-
-// retryAfter parses a Retry-After header's delay-seconds form. Zero means
-// absent/unparseable (HTTP-date forms are not emitted by this simulator).
-func retryAfter(h string) time.Duration {
-	if h == "" {
-		return 0
-	}
-	secs, err := strconv.Atoi(strings.TrimSpace(h))
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
 }
 
 func truncateBody(b []byte) string {

@@ -12,13 +12,24 @@ package core
 //
 // The kernel presorts each column once into an immutable index —
 // (value ascending, panel-row) pairs plus each row's non-NaN depth — and a
-// resample becomes counting work: tally the resampled row multiplicities
-// into a pooled scratch vector, derive every column's expansion size from
-// one depth histogram (panel columns are prefix-shaped: a row contributes to
-// columns 1..depth), and walk each presorted column accumulating
+// resample becomes counting work: one pass over the resample tallies the
+// row multiplicities into a pooled scratch vector and the resampled depths
+// into a histogram, from which every column's expansion size follows (panel
+// columns are prefix-shaped: a row contributes to columns 1..depth). A
+// column's quantile is then a walk along its presorted values accumulating
 // multiplicities to the target order statistics
-// (stats.CountingQuantileSorted). O(MaxN·U) per iteration, zero allocations
-// once warm.
+// (stats.CountingQuantileSorted: one gather and one compare per position,
+// with zero-count rows falling through the compare instead of taking a
+// branch).
+//
+// The walk runs only for the columns the fit reads. The censoring rule
+// (fitVASInto) stops at the first floored point, and it pulls columns
+// through an accessor, so fitResample computes column n's quantile only
+// when the rule reaches n. Per resample that is O(K·U) for the K
+// columns up to the censor point, instead of O(MaxN·U), with zero
+// allocations once warm. In nanobench's study-cold world (seed 1, P in
+// {0.5, 0.8, 0.9, 0.95}) K is 2–4 of the 25 columns for least-popular
+// selections and 8–16 for random ones.
 //
 // # Bit-identity
 //
@@ -32,8 +43,13 @@ package core
 // byte-identical with the kernel on or off — gated by
 // TestColumnKernelIsByteIdentical (determinism_test.go, seeds {0,1,42},
 // workers 1 vs 4), a differential fuzz target (FuzzColumnarVAS) and the
-// golden pins, which must not move. Samples.DisableColumnKernel restores
-// the naive sort-per-resample path.
+// golden pins, which must not move. The lazy fit is exact too: the rule
+// reads column i only after columns 0..i-1 were non-NaN, positive and above
+// the floor, and the bootstrap statistic is the fit's N_P alone, so a
+// column the rule never reaches cannot change an output bit or an error
+// (FuzzColumnarVAS compares fitResample with FitVAS on the naive vector;
+// TestFitResamplePoisonedTail breaks every column past the censor point).
+// Samples.DisableColumnKernel restores the naive sort-per-resample path.
 //
 // # Memory envelope
 //
@@ -161,46 +177,73 @@ func (s *Samples) releaseResample(sc *resampleScratch) {
 	s.resamplePool.Put(sc)
 }
 
-// vasResample is vasIdx on the column index: the q-quantile VAS vector of
-// the resample idx (a multiset of panel-row indices), written into sc.out.
-// Byte-identical to the naive gather-copy-sort path; O(MaxN·U), zero
-// allocations.
-func (s *Samples) vasResample(q float64, idx []int, sc *resampleScratch) []float64 {
+// tallyResample prepares the resample idx (a multiset of panel-row indices)
+// for column queries: it borrows a counts vector and fills it with the row
+// multiplicities and, in the same pass over idx, the depth histogram. On a
+// prefix-shaped table the histogram yields every column total in O(MaxN):
+// column n's expansion holds the rows resampled with depth > n. The caller
+// queries columns with resampleAt and releases the box to s.countsPool.
+func (s *Samples) tallyResample(idx []int, sc *resampleScratch) *[]int32 {
 	cols := s.columns()
 	box := s.countsPool.Borrow(len(s.AS))
 	counts := *box
+	hist := sc.depthHist
+	clear(hist)
 	for _, ui := range idx {
 		counts[ui]++
+		hist[cols.depths[ui]]++
 	}
-	out := sc.out[:s.MaxN]
 	if cols.prefixShaped {
-		// One histogram of resampled depths yields every column total:
-		// column n's expansion holds the rows resampled with depth > n.
-		hist := sc.depthHist
-		for i := range hist {
-			hist[i] = 0
-		}
-		for u, c := range counts {
-			if c != 0 {
-				hist[cols.depths[u]] += int(c)
-			}
-		}
 		t := 0
 		for n := s.MaxN - 1; n >= 0; n-- {
 			t += hist[n+1]
 			sc.totals[n] = t
 		}
-	} else {
-		for n := 0; n < s.MaxN; n++ {
-			sc.totals[n] = stats.CountingTotal(cols.users[n], counts)
-		}
 	}
-	for n := 0; n < s.MaxN; n++ {
-		if sc.totals[n] == 0 {
-			out[n] = math.NaN()
-			continue
-		}
-		out[n] = stats.CountingQuantileSorted(cols.vals[n], cols.users[n], counts, sc.totals[n], q)
+	return box
+}
+
+// resampleAt is column n's q-quantile over a tallied resample: O(U), or NaN
+// when no resampled row reaches column n. Off the prefix-shaped fast path
+// the column total is summed here, per column.
+func (s *Samples) resampleAt(counts []int32, sc *resampleScratch, n int, q float64) float64 {
+	cols := s.cols
+	total := 0
+	if cols.prefixShaped {
+		total = sc.totals[n]
+	} else {
+		total = stats.CountingTotal(cols.users[n], counts)
+	}
+	if total == 0 {
+		return math.NaN()
+	}
+	return stats.CountingQuantileSorted(cols.vals[n], cols.users[n], counts, total, q)
+}
+
+// fitResample is FitVAS(vasIdx(q, idx)) on the column index, the statistic
+// EstimateNP's bootstrap computes per resample. The censoring rule pulls
+// columns lazily, so only the K columns up to the first floored (or empty)
+// one are ever walked: O(K·U) instead of O(MaxN·U). Bit-identical to the
+// full-vector fit, because a column the rule never reaches cannot change
+// its points, its error or N_P. Zero allocations once warm.
+func (s *Samples) fitResample(q float64, idx []int, sc *resampleScratch) (FitResult, error) {
+	box := s.tallyResample(idx, sc)
+	fit, err := fitVASInto(sc.xs, sc.ys, s.MaxN, s.FloorValue, func(n int) float64 {
+		return s.resampleAt(*box, sc, n, q)
+	})
+	s.countsPool.Release(box)
+	return fit, err
+}
+
+// vasResample is vasIdx on the column index: the full q-quantile VAS vector
+// of the resample idx, written into sc.out — the differential oracle's view
+// of the kernel. Byte-identical to the naive gather-copy-sort path;
+// O(MaxN·U), zero allocations.
+func (s *Samples) vasResample(q float64, idx []int, sc *resampleScratch) []float64 {
+	box := s.tallyResample(idx, sc)
+	out := sc.out[:s.MaxN]
+	for n := range out {
+		out[n] = s.resampleAt(*box, sc, n, q)
 	}
 	s.countsPool.Release(box)
 	return out

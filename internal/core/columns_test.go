@@ -117,6 +117,85 @@ func TestResamplePermutationMetamorphic(t *testing.T) {
 	}
 }
 
+// TestFitResamplePoisonedTail proves the lazy resample fit never reads a
+// column past the censor point. Every row is above the floor before column
+// censorAt and at or below it there, so the point fit and every resample
+// censor at that column; the poisoned copy then holds −1 — which the fit
+// rejects as a non-positive audience size if it reads it — in every cell
+// after it. fitResample on the poisoned table must succeed and match the
+// clean table's full-vector fit bit for bit. A second pass then breaks the
+// poisoned table's column index past the censor point (an out-of-range row
+// in every position, so walking such a column panics): fitResample must
+// still succeed, because it never computes those columns at all.
+func TestFitResamplePoisonedTail(t *testing.T) {
+	const users, maxN, censorAt = 120, 25, 6
+	r := rng.New(21)
+	clean := &Samples{AS: make([][]float64, users), MaxN: maxN, FloorValue: 20, Strategy: "clean"}
+	poisoned := &Samples{AS: make([][]float64, users), MaxN: maxN, FloorValue: 20, Strategy: "poisoned"}
+	for u := range clean.AS {
+		row := make([]float64, maxN)
+		depth := censorAt + 1 + r.Intn(maxN-censorAt)
+		for n := range row {
+			switch {
+			case n < censorAt:
+				row[n] = 21 + math.Floor(1e6*math.Pow(0.3, float64(n))*(0.5+r.Float64()))
+			case n == censorAt:
+				row[n] = 1 + math.Floor(r.Float64()*20)
+			case n < depth:
+				row[n] = 1 + math.Floor(r.Float64()*1e6)
+			default:
+				row[n] = math.NaN()
+			}
+		}
+		clean.AS[u] = row
+		bad := append([]float64{}, row...)
+		for n := censorAt + 1; n < maxN; n++ {
+			bad[n] = -1
+		}
+		poisoned.AS[u] = bad
+	}
+	check := func(pass string, poisonVisible bool) {
+		t.Helper()
+		for _, q := range []float64{0.5, 0.9} {
+			point, err := FitVAS(clean.VAS(q), clean.FloorValue)
+			if err != nil || point.PointsUsed != censorAt+1 {
+				t.Fatalf("q=%v: point fit %+v, %v; want %d points", q, point, err, censorAt+1)
+			}
+			ri := rng.New(22)
+			for trial := 0; trial < 50; trial++ {
+				idx := resampleIdx(ri, users)
+				want, err := FitVAS(clean.vasIdx(q, idx), clean.FloorValue)
+				if err != nil {
+					t.Fatalf("q=%v trial %d: clean fit: %v", q, trial, err)
+				}
+				sc := poisoned.borrowResample()
+				if poisonVisible {
+					if v := poisoned.vasResample(q, idx, sc)[censorAt+1]; v != -1 {
+						t.Fatalf("q=%v trial %d: poisoned column reads %v, want -1", q, trial, v)
+					}
+				}
+				got, err := poisoned.fitResample(q, idx, sc)
+				poisoned.releaseResample(sc)
+				if err != nil {
+					t.Fatalf("%s q=%v trial %d: lazy fit read past the censor point: %v", pass, q, trial, err)
+				}
+				if !bitsEqual(got.NP, want.NP) || !bitsEqual(got.A, want.A) || !bitsEqual(got.B, want.B) ||
+					!bitsEqual(got.R2, want.R2) || got.PointsUsed != want.PointsUsed {
+					t.Fatalf("%s q=%v trial %d: poisoned lazy fit %+v != clean fit %+v", pass, q, trial, got, want)
+				}
+			}
+		}
+	}
+	check("poisoned cells", true)
+	cols := poisoned.columns()
+	for n := censorAt + 1; n < maxN; n++ {
+		for i := range cols.users[n] {
+			cols.users[n][i] = -1
+		}
+	}
+	check("broken index", false)
+}
+
 // TestEstimateNPKnobIsByteIdentical flips DisableColumnKernel on one
 // collected table: point estimate, CI bounds and R² must not move by a bit,
 // at workers 1 and 4.
@@ -169,7 +248,8 @@ func TestSampleCountAtMatchesScan(t *testing.T) {
 // TestWarmResampleZeroAllocs gates the kernel's steady state at 0 allocs per
 // resample iteration, mirroring the audience engine's
 // TestWarmEngineHitZeroAllocs: pooled counting scratch, the immutable
-// presorted index, pooled fit buffers.
+// presorted index, pooled fit buffers, and the lazy column accessor the
+// censored fit pulls through — fitResample, the function EstimateNP runs.
 func TestWarmResampleZeroAllocs(t *testing.T) {
 	if coreRaceEnabled {
 		t.Skip("race instrumentation allocates; the 0 allocs/op gate runs in the non-race CI lane (coverage job) and locally")
@@ -178,7 +258,7 @@ func TestWarmResampleZeroAllocs(t *testing.T) {
 	idx := resampleIdx(rng.New(6), s.NumUsers())
 	iteration := func() {
 		sc := s.borrowResample()
-		fit, err := fitVASInto(sc.xs, sc.ys, s.vasResample(0.9, idx, sc), s.FloorValue)
+		fit, err := s.fitResample(0.9, idx, sc)
 		s.releaseResample(sc)
 		if err != nil || fit.NP <= 0 {
 			t.Fatalf("degenerate warm iteration: %+v %v", fit, err)
@@ -199,7 +279,8 @@ func bitsEqual(a, b float64) bool {
 
 // BenchmarkBootstrapResample measures ONE bootstrap resample iteration —
 // the §4.2 inner loop EstimateNP repeats 10,000 times — under the columnar
-// kernel versus the naive gather-copy-sort path. Run with -benchmem: the
+// kernel (fitResample, exactly what EstimateNP runs) versus the naive
+// gather-copy-sort path. Run with -benchmem: the
 // kernel's steady state is 0 allocs/op (also gated by
 // TestWarmResampleZeroAllocs), the naive path allocates per column.
 func BenchmarkBootstrapResample(b *testing.B) {
@@ -217,7 +298,7 @@ func BenchmarkBootstrapResample(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			sc := s.borrowResample()
-			if _, err := fitVASInto(sc.xs, sc.ys, s.vasResample(0.9, idx, sc), s.FloorValue); err != nil {
+			if _, err := s.fitResample(0.9, idx, sc); err != nil {
 				b.Fatal(err)
 			}
 			s.releaseResample(sc)

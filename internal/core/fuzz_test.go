@@ -8,11 +8,13 @@ import (
 )
 
 // FuzzColumnarVAS is the differential fuzz target for the columnar
-// bootstrap kernel (the 7th target in the CI fuzz-smoke job): random sample
+// bootstrap kernel (one of the CI fuzz-smoke targets): random sample
 // tables — arbitrary values, arbitrary NaN hole patterns, prefix-shaped and
 // not — and random resample multiplicities, fed to both the
 // counting-quantile kernel and the naive gather-copy-sort oracle, asserting
-// bit equality of every VAS entry. The generator derives everything from
+// bit equality of every VAS entry, and that the lazy resample fit
+// (fitResample) agrees with FitVAS on the naive vector: the same N_P bits,
+// and an error from both or from neither. The generator derives everything from
 // the fuzzed seeds so the corpus stays byte-small while covering the input
 // space.
 func FuzzColumnarVAS(f *testing.F) {
@@ -69,6 +71,16 @@ func FuzzColumnarVAS(f *testing.F) {
 				t.Fatalf("q=%v n=%d: naive sort path %v (bits %x) != counting kernel %v (bits %x)",
 					q, n+1, a, math.Float64bits(a), b, math.Float64bits(b))
 			}
+		}
+
+		lazy, lazyErr := s.fitResample(q, idx, sc)
+		full, fullErr := FitVAS(naive, s.FloorValue)
+		if (lazyErr == nil) != (fullErr == nil) {
+			t.Fatalf("q=%v: lazy fit error %v, full-vector fit error %v", q, lazyErr, fullErr)
+		}
+		if lazyErr == nil && math.Float64bits(lazy.NP) != math.Float64bits(full.NP) {
+			t.Fatalf("q=%v: lazy fit N_P %v (bits %x) != full-vector fit N_P %v (bits %x)",
+				q, lazy.NP, math.Float64bits(lazy.NP), full.NP, math.Float64bits(full.NP))
 		}
 
 		// The full-panel fast path must agree with the naive scan too.

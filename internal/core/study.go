@@ -227,15 +227,23 @@ type FitResult struct {
 // including the FIRST floored value, drop the rest — then fits
 // log10(VAS) ~ −A·log10(N+1) + B and derives N_P.
 func FitVAS(vas []float64, floor float64) (FitResult, error) {
-	return fitVASInto(make([]float64, 0, len(vas)), make([]float64, 0, len(vas)), vas, floor)
+	return fitVASInto(make([]float64, 0, len(vas)), make([]float64, 0, len(vas)), len(vas), floor,
+		func(i int) float64 { return vas[i] })
 }
 
-// fitVASInto is FitVAS appending the censored fit points into caller-owned
-// scratch (the bootstrap loop passes pooled buffers so a warm resample
-// iteration allocates nothing; contents are overwritten, capacity reused).
-func fitVASInto(xs, ys []float64, vas []float64, floor float64) (FitResult, error) {
+// fitVASInto is the one copy of the censoring rule and fit behind FitVAS and
+// the bootstrap kernel. It reads the VAS vector of length n through at, in
+// order, and stops at the first NaN, non-positive or floored entry, so
+// at(i) is called only after entries 0..i-1 were all positive and above the
+// floor; the lazy resample fit (Samples.fitResample) relies on this to
+// compute a column's quantile only when the rule reaches it. The censored
+// points are appended into caller-owned scratch (the bootstrap loop passes
+// pooled buffers so a warm resample iteration allocates nothing; contents
+// are overwritten, capacity reused).
+func fitVASInto(xs, ys []float64, n int, floor float64, at func(i int) float64) (FitResult, error) {
 	xs, ys = xs[:0], ys[:0]
-	for i, v := range vas {
+	for i := 0; i < n; i++ {
+		v := at(i)
 		if math.IsNaN(v) {
 			break
 		}
@@ -342,10 +350,11 @@ func EstimateNP(s *Samples, p float64, cfg EstimateConfig) (Estimate, error) {
 					return fit.NP, nil
 				}
 				// The columnar kernel path: pooled counting scratch, the
-				// presorted index, pooled fit buffers — zero allocations
-				// per warm iteration (TestWarmResampleZeroAllocs).
+				// presorted index, pooled fit buffers, and only the columns
+				// the censored fit reads — zero allocations per warm
+				// iteration (TestWarmResampleZeroAllocs).
 				sc := s.borrowResample()
-				fit, err := fitVASInto(sc.xs, sc.ys, s.vasResample(p, idx, sc), s.FloorValue)
+				fit, err := s.fitResample(p, idx, sc)
 				s.releaseResample(sc)
 				if err != nil {
 					return 0, err

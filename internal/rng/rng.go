@@ -15,6 +15,7 @@ package rng
 import (
 	"hash/fnv"
 	"math"
+	"math/bits"
 )
 
 // Rand is a deterministic xoshiro256** generator.
@@ -96,27 +97,14 @@ func (r *Rand) Intn(n int) int {
 		panic("rng: Intn with non-positive n")
 	}
 	un := uint64(n)
-	hi, lo := mul64(r.Uint64(), un)
+	hi, lo := bits.Mul64(r.Uint64(), un)
 	if lo < un {
 		thresh := (-un) % un
 		for lo < thresh {
-			hi, lo = mul64(r.Uint64(), un)
+			hi, lo = bits.Mul64(r.Uint64(), un)
 		}
 	}
 	return int(hi)
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t&mask32 + x0*y1
-	hi = x1*y1 + t>>32 + w1>>32
-	lo = x * y
-	return
 }
 
 // Int63 returns a non-negative int64.

@@ -100,6 +100,32 @@ func TestIntnBounds(t *testing.T) {
 	}
 }
 
+// TestIntnSequencePinned pins Intn's output stream: every seeded table,
+// figure and bootstrap CI in the repository consumes it, so a change to the
+// bounded-generation arithmetic must not move a single draw. Each row is one
+// fresh generator drawing three rounds over the n list, which spans the
+// trivial bound, small bounds, the paper's panel size, a bound past 32 bits
+// and the largest int (where Lemire's rejection threshold is non-zero).
+func TestIntnSequencePinned(t *testing.T) {
+	ns := []int{1, 2, 3, 2390, 1<<40 + 7, math.MaxInt64}
+	for _, tc := range []struct {
+		seed uint64
+		want []int
+	}{
+		{0, []int{0, 1, 0, 995, 805938481700, 9221051770647995748, 0, 1, 2, 2196, 125671391141, 620104743558096346, 0, 1, 1, 708, 774535562298, 1740324278856418119}},
+		{1, []int{0, 1, 1, 935, 766555775647, 1324218308982920080, 0, 0, 2, 1318, 1025374243806, 8828779273611113554, 0, 1, 1, 2128, 88462246178, 4531995491836664855}},
+		{42, []int{0, 0, 2, 2210, 1090499936233, 7099593415032875291, 0, 1, 2, 1394, 750364865552, 2681029139591840946, 0, 0, 2, 2097, 678136487646, 7852687488934748777}},
+	} {
+		r := New(tc.seed)
+		for i, want := range tc.want {
+			n := ns[i%len(ns)]
+			if got := r.Intn(n); got != want {
+				t.Fatalf("seed %d draw %d: Intn(%d) = %d, want %d", tc.seed, i, n, got, want)
+			}
+		}
+	}
+}
+
 func TestIntnPanicsOnNonPositive(t *testing.T) {
 	defer func() {
 		if recover() == nil {

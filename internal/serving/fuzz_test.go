@@ -2,9 +2,13 @@ package serving
 
 import (
 	"bytes"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"nanotarget/internal/interest"
 	"nanotarget/internal/population"
@@ -72,6 +76,91 @@ func FuzzShardSharesRequest(f *testing.F) {
 		case rec.Code == http.StatusOK:
 			if _, err := parseShares(q.mask, rec.Body.Bytes()); err != nil {
 				t.Fatalf("body % x: bad 200 response: %v", body, err)
+			}
+		}
+	})
+}
+
+// TestParseRetryAfter pins the delay-seconds parser, including the two
+// values that wrapped before saturation: 18446744074s overflowed to a
+// 290ms wait and 9223372037s to a negative one.
+func TestParseRetryAfter(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want time.Duration
+	}{
+		{"", 0},
+		{"0", 0},
+		{"3", 3 * time.Second},
+		{" 7 ", 7 * time.Second},
+		{"+2", 2 * time.Second},
+		{"-1", 0},
+		{"1.5", 0},
+		{"soon", 0},
+		{"Wed, 21 Oct 2015 07:28:00 GMT", 0},
+		{"9223372036", 9223372036 * time.Second},
+		{"9223372037", math.MaxInt64},
+		{"18446744074", math.MaxInt64},
+		{"99999999999999999999999", math.MaxInt64},
+		{"-99999999999999999999999", 0},
+	} {
+		if got := ParseRetryAfter(tc.in); got != tc.want {
+			t.Errorf("ParseRetryAfter(%q) = %v, want %v", tc.in, got, tc.want)
+		}
+	}
+}
+
+// FuzzParseRetryAfter: any header value parses to a non-negative wait, and
+// the wait is monotone in the advertised seconds (saturating, never
+// wrapping), exact wherever a time.Duration can hold it.
+func FuzzParseRetryAfter(f *testing.F) {
+	f.Add("3", uint64(0), uint64(1))
+	f.Add("18446744074", uint64(9223372036), uint64(9223372037))
+	f.Add("-5", uint64(18446744074), uint64(1<<63))
+	f.Add(" 12 ", uint64(1<<64-1), uint64(7))
+	f.Fuzz(func(t *testing.T, h string, a, b uint64) {
+		if d := ParseRetryAfter(h); d < 0 {
+			t.Fatalf("ParseRetryAfter(%q) = %v, negative", h, d)
+		}
+		if a > b {
+			a, b = b, a
+		}
+		da := ParseRetryAfter(strconv.FormatUint(a, 10))
+		db := ParseRetryAfter(strconv.FormatUint(b, 10))
+		if da < 0 || da > db {
+			t.Fatalf("not monotone: %ds -> %v, %ds -> %v", a, da, b, db)
+		}
+		if a <= uint64(math.MaxInt64/time.Second) && da != time.Duration(a)*time.Second {
+			t.Fatalf("%ds parsed as %v", a, da)
+		}
+	})
+}
+
+// FuzzParseShardTopology: the -proxy topology parser never panics, and any
+// spec it accepts yields one shard per comma-separated field, one replica
+// per |-separated URL, every URL non-empty, trimmed and free of separators.
+func FuzzParseShardTopology(f *testing.F) {
+	f.Add("http://a:1")
+	f.Add("u0a|u0b, u1 ,u2")
+	f.Add(",")
+	f.Add("a||b")
+	f.Add(" \t|x")
+	f.Fuzz(func(t *testing.T, spec string) {
+		shards, err := ParseShardTopology(spec)
+		if err != nil {
+			return
+		}
+		if want := strings.Count(spec, ",") + 1; len(shards) != want {
+			t.Fatalf("%q: %d shards, want %d", spec, len(shards), want)
+		}
+		for i, field := range strings.Split(spec, ",") {
+			if want := strings.Count(field, "|") + 1; len(shards[i]) != want {
+				t.Fatalf("%q: shard %d has %d replicas, want %d", spec, i, len(shards[i]), want)
+			}
+			for _, u := range shards[i] {
+				if u == "" || u != strings.TrimSpace(u) || strings.ContainsAny(u, ",|") {
+					t.Fatalf("%q: shard %d replica URL %q is empty, untrimmed or holds a separator", spec, i, u)
+				}
 			}
 		}
 	})

@@ -54,6 +54,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -980,7 +981,7 @@ func (p *ProxyBackend) callRetrying(ctx context.Context, shard, replica int, met
 				shard, path, status, truncate(data))
 		case status >= 500 || status == http.StatusTooManyRequests:
 			lastErr = fmt.Errorf("HTTP %d: %s", status, truncate(data))
-			serverWait = parseRetryAfter(header.Get("Retry-After"))
+			serverWait = ParseRetryAfter(header.Get("Retry-After"))
 			continue
 		case status != http.StatusOK:
 			var eb shardErrorBody
@@ -1006,16 +1007,22 @@ func (p *ProxyBackend) backoff(shard, replica, attempt int) time.Duration {
 	return wait + time.Duration(j*float64(wait)/2)
 }
 
-// parseRetryAfter reads a delay-seconds Retry-After value (the only form the
-// shard tiers emit — see Gate and Admission), mirroring the adsapi client's
-// parser. Unparseable or negative values mean "no advice".
-func parseRetryAfter(h string) time.Duration {
-	if h == "" {
+// ParseRetryAfter reads a delay-seconds Retry-After value (the only form the
+// serving tiers emit — see Gate and Admission); the proxy's shard RPCs and
+// the adsapi client both honor it through this one parser. Unparseable or
+// negative values mean "no advice" (0). A delay too long for a
+// time.Duration saturates at the largest one instead of wrapping: unchecked,
+// "18446744074" seconds would overflow to a 290ms wait and "9223372037" to
+// a negative one.
+func ParseRetryAfter(h string) time.Duration {
+	// Past the int64 range ParseInt returns ±MaxInt64 with ErrRange; the
+	// positive case then saturates like any other over-long delay.
+	secs, err := strconv.ParseInt(strings.TrimSpace(h), 10, 64)
+	if (err != nil && !errors.Is(err, strconv.ErrRange)) || secs < 0 {
 		return 0
 	}
-	secs, err := strconv.Atoi(strings.TrimSpace(h))
-	if err != nil || secs < 0 {
-		return 0
+	if secs > int64(math.MaxInt64/time.Second) {
+		return math.MaxInt64
 	}
 	return time.Duration(secs) * time.Second
 }

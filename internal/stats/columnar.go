@@ -17,6 +17,13 @@ package stats
 // sort.Float64s would have placed at the lo/hi order statistics, and the
 // interpolation arithmetic applied to them is QuantileSorted's own.
 //
+// The walk's inner loop is one gather (counts[keys[i]]) and one compare
+// (has the running count passed the target rank?). A resample draws about
+// 37% of rows zero times; those positions add nothing and fall through the
+// compare, so the loop carries no data-dependent branch to mispredict. The
+// estimator calls the walk only for the columns its censored fit reads
+// (internal/core/columns.go), so a resample costs O(K·U) for K such columns.
+//
 // The primitives here are deliberately representation-light (presorted
 // values + parallel key slice + caller-owned counts) so other per-panel-user
 // aggregations (fdvt risk scans, report figure code) can adopt the same
@@ -47,6 +54,14 @@ func CountingTotal(keys []int32, counts []int32) int {
 // statistics the sorted expansion holds and applies the same interpolation
 // expression. It panics if q is outside [0,1] (matching QuantileSorted) and
 // returns NaN when total <= 0 (an empty resample column).
+//
+// The hot loop is one gather and one compare per position: it accumulates
+// multiplicities and stops at the first position whose running count passes
+// the target rank. Zero-count positions add nothing and fall through that
+// same compare — in a bootstrap resample about 37% of rows are drawn zero
+// times, so a per-position "skip empty" branch would be mispredicted
+// constantly. Only after the stop does the walk step over empty positions,
+// to reach the other order statistic when it lies in the next non-empty one.
 func CountingQuantileSorted(vals []float64, keys []int32, counts []int32, total int, q float64) float64 {
 	if q < 0 || q > 1 {
 		panic("stats: quantile probability out of [0,1]")
@@ -54,20 +69,12 @@ func CountingQuantileSorted(vals []float64, keys []int32, counts []int32, total 
 	if total <= 0 {
 		return math.NaN()
 	}
-	if total == 1 {
-		// QuantileSorted's n==1 fast path: the single present value.
-		for i, k := range keys {
-			if counts[k] > 0 {
-				return vals[i]
-			}
-		}
-		return math.NaN() // unreachable when total matches counts
-	}
 	h := q * float64(total-1)
 	lo := int(math.Floor(h))
 	hi := lo + 1
 	if hi >= total {
-		// QuantileSorted returns sorted[n-1]: the largest present value.
+		// QuantileSorted returns sorted[n-1] (and sorted[0] when n==1):
+		// the largest present value.
 		for i := len(keys) - 1; i >= 0; i-- {
 			if counts[keys[i]] > 0 {
 				return vals[i]
@@ -75,49 +82,60 @@ func CountingQuantileSorted(vals []float64, keys []int32, counts []int32, total 
 		}
 		return math.NaN() // unreachable when total matches counts
 	}
-	// Walk the presorted values accumulating multiplicities until the
-	// cumulative count covers both target order statistics; vlo/vhi are the
-	// expansion's values at (0-based) ranks lo and hi. The walk enters from
-	// whichever end is nearer the target rank — a q=0.9 column visits ~10%
-	// of its positions top-down instead of ~90% bottom-up — selecting the
-	// same order statistics either way (direction changes traversal, never
-	// the selected values or the interpolation arithmetic).
+	// vlo/vhi are the expansion's values at (0-based) ranks lo and hi. The
+	// walk enters from whichever end is nearer the target rank — a q=0.9
+	// column visits ~10% of its positions top-down instead of ~90%
+	// bottom-up — selecting the same order statistics either way (direction
+	// changes traversal, never the selected values or the interpolation
+	// arithmetic).
 	frac := h - float64(lo)
 	if 2*hi >= total {
-		cumAbove := 0
-		var vhi float64
-		haveHi := false
-		for i := len(keys) - 1; i >= 0; i-- {
-			c := int(counts[keys[i]])
-			if c == 0 {
-				continue
+		// Top-down: above counts the copies at positions >= i, so vals[i]
+		// holds rank hi at the first i where above > total-1-hi.
+		target := total - 1 - hi
+		above, i := 0, len(keys)-1
+		for ; i >= 0; i-- {
+			above += int(counts[keys[i]])
+			if above > target {
+				break
 			}
-			lowest := total - cumAbove - c // rank of vals[i]'s first copy
-			if !haveHi && hi >= lowest {
-				vhi = vals[i]
-				haveHi = true
-			}
-			if haveHi && lo >= lowest {
-				return vals[i]*(1-frac) + vhi*frac
-			}
-			cumAbove += c
 		}
+		if i < 0 {
+			return math.NaN() // unreachable when total matches counts
+		}
+		vhi := vals[i]
+		if above == target+1 {
+			// Rank hi is vals[i]'s lowest copy: rank lo is the next
+			// non-empty position below.
+			for i--; i >= 0 && counts[keys[i]] == 0; i-- {
+			}
+			if i < 0 {
+				return math.NaN() // unreachable when total matches counts
+			}
+		}
+		return vals[i]*(1-frac) + vhi*frac
+	}
+	// Bottom-up: cum counts the copies at positions <= i, so vals[i] holds
+	// rank lo at the first i where cum > lo.
+	cum, i := 0, 0
+	for ; i < len(keys); i++ {
+		cum += int(counts[keys[i]])
+		if cum > lo {
+			break
+		}
+	}
+	if i == len(keys) {
 		return math.NaN() // unreachable when total matches counts
 	}
-	var vlo float64
-	cum := 0
-	for i, k := range keys {
-		c := int(counts[k])
-		if c == 0 {
-			continue
+	vlo := vals[i]
+	if cum == hi {
+		// Rank lo is vals[i]'s highest copy: rank hi is the next non-empty
+		// position above.
+		for i++; i < len(keys) && counts[keys[i]] == 0; i++ {
 		}
-		if cum <= lo && lo < cum+c {
-			vlo = vals[i]
+		if i == len(keys) {
+			return math.NaN() // unreachable when total matches counts
 		}
-		if cum <= hi && hi < cum+c {
-			return vlo*(1-frac) + vals[i]*frac
-		}
-		cum += c
 	}
-	return math.NaN() // unreachable when total matches counts
+	return vlo*(1-frac) + vals[i]*frac
 }

@@ -54,6 +54,70 @@ func TestCountingQuantileMatchesSortedExpansion(t *testing.T) {
 	}
 }
 
+// TestCountingQuantileZeroRuns targets the walk's stop-and-step logic: runs
+// of zero-count positions at both ends of the column and on both sides of
+// the positions holding ranks lo and hi, which the hot loop must fall
+// through and the step to the other order statistic must skip. Keys are a
+// shuffled permutation so counts are gathered the way the estimator's
+// row-indexed columns gather them.
+func TestCountingQuantileZeroRuns(t *testing.T) {
+	r := rng.New(91)
+	for trial := 0; trial < 400; trial++ {
+		filled := make([]int32, 1+r.Intn(12)) // the non-empty positions
+		total := 0
+		for i := range filled {
+			filled[i] = 1 + int32(r.Intn(3))
+			total += int(filled[i])
+		}
+		// rankPos is the non-empty position holding 0-based rank k.
+		rankPos := func(k int) int {
+			cum := 0
+			for i, c := range filled {
+				cum += int(c)
+				if cum > k {
+					return i
+				}
+			}
+			return len(filled) - 1
+		}
+		for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 1, r.Float64()} {
+			lo := int(math.Floor(q * float64(total-1)))
+			pLo, pHi := rankPos(lo), rankPos(lo+1)
+			var counts []int32
+			for i := 0; i <= len(filled); i++ {
+				if i == 0 || i == len(filled) || i == pLo || i == pLo+1 || i == pHi || i == pHi+1 {
+					for z := 1 + r.Intn(3); z > 0; z-- {
+						counts = append(counts, 0)
+					}
+				}
+				if i < len(filled) {
+					counts = append(counts, filled[i])
+				}
+			}
+			vals := make([]float64, len(counts))
+			v := 0.0
+			for i := range vals {
+				v += float64(r.Intn(2)) // ties likely
+				vals[i] = v
+			}
+			perm := r.Perm(len(counts))
+			keys := make([]int32, len(counts))
+			byKey := make([]int32, len(counts))
+			for i, k := range perm {
+				keys[i] = int32(k)
+				byKey[k] = counts[i]
+			}
+			got := CountingQuantileSorted(vals, keys, byKey, total, q)
+			exp := expandCounting(vals, keys, byKey)
+			sort.Float64s(exp)
+			want := QuantileSorted(exp, q)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d q=%v counts=%v: counting %v != sorted expansion %v", trial, q, counts, got, want)
+			}
+		}
+	}
+}
+
 func TestCountingQuantileEdgeCases(t *testing.T) {
 	vals := []float64{1, 2, 3}
 	keys := []int32{0, 1, 2}
