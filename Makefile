@@ -24,17 +24,17 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Figure1$$|Figure3$$|Table1$$|AblationParallelism|Audience|UniquenessEstimate|BootstrapResample|ServingLoad|ProxyBreakerFastFail' -benchtime 1x -benchmem . ./internal/core ./internal/serving
+	$(GO) test -run '^$$' -bench 'Figure1$$|Figure3$$|Table1$$|AblationParallelism|Audience|UniquenessEstimate|BootstrapResample|ServingLoad|ProxyBreakerFastFail' -benchtime 1x -benchmem . ./internal/core ./internal/population ./internal/serving
 
 # Audience-engine benchmarks (the BENCH_audience.json baseline).
 bench-audience:
-	$(GO) test -run '^$$' -bench 'Audience' -benchtime 10x -benchmem .
+	$(GO) test -run '^$$' -bench 'Audience' -benchtime 10x -benchmem . ./internal/population
 
 # Uniqueness-estimator benchmarks (the BENCH_uniqueness.json baseline):
 # the end-to-end 1k-iteration bootstrap estimate plus the single-resample
 # kernel at the paper's 2,390-user panel scale.
 bench-uniqueness:
-	$(GO) test -run '^$$' -bench 'UniquenessEstimate' -benchtime 10x -benchmem .
+	$(GO) test -run '^$$' -bench 'UniquenessEstimate' -benchtime 10x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BootstrapResample|ColumnIndexBuild' -benchtime 200x -benchmem ./internal/core
 
 # Serving-tier load baseline (the BENCH_serving.json baseline): the
@@ -70,6 +70,7 @@ FUZZ_TARGETS = \
 	FuzzCompositeKey:./internal/audience \
 	FuzzShardSharesRequest:./internal/serving \
 	FuzzParseRetryAfter:./internal/serving \
+	FuzzParseDeadlineMs:./internal/serving \
 	FuzzParseShardTopology:./internal/serving \
 	FuzzColumnarVAS:./internal/core
 

@@ -86,7 +86,6 @@ func main() {
 		scfg := core.DefaultStudyConfig(root.Derive(fmt.Sprintf("study/%.3f", sigma)))
 		scfg.BootstrapIters = *boot
 		scfg.Parallelism = cfg.Parallelism
-		scfg.DisableColumnKernel = cfg.Kernels.DisableColumnKernel
 		start = time.Now()
 		res, err := core.RunStudy(panel.Users, core.NewModelSource(model), scfg)
 		if err != nil {

@@ -80,7 +80,7 @@ func main() {
 	log.SetFlags(log.LstdFlags)
 	log.SetPrefix("fbadsd: ")
 	cfg := cliflags.RegisterWorldFlags(flag.CommandLine,
-		cliflags.Without(cliflags.FlagPanel, cliflags.FlagWorkers, cliflags.FlagColumnKernel),
+		cliflags.Without(cliflags.FlagPanel, cliflags.FlagWorkers),
 		cliflags.With(cliflags.FlagPopulation),
 		cliflags.Usage(cliflags.FlagCache, "enable the reach-estimate audience cache (false = recompute every query; results are identical)"))
 	var (

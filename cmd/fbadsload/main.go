@@ -46,7 +46,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fbadsload: ")
 	cfg := cliflags.RegisterWorldFlags(flag.CommandLine,
-		cliflags.Without(cliflags.FlagPanel, cliflags.FlagWorkers, cliflags.FlagColumnKernel),
+		cliflags.Without(cliflags.FlagPanel, cliflags.FlagWorkers),
 		cliflags.With(cliflags.FlagPopulation),
 		cliflags.Usage(cliflags.FlagCatalog, "interest catalog size (must match the target server's -catalog)"),
 		cliflags.Usage(cliflags.FlagSeed, "world and workload seed"))

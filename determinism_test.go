@@ -286,189 +286,6 @@ func TestAudienceCachePolicyEvaluationIsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRowKernelIsByteIdentical gates the inclusion-row kernel: a world
-// evaluating on precomputed rows (the default) must produce byte-identical
-// output to a world computing exp() inline (WithRowKernel(false)), across
-// the full §4 pipeline — sample collection for both selection strategies,
-// N_P estimation — plus the flexible_spec union path, which is the one
-// evaluation shape the audience cache never covers. This is the "hoisted,
-// not reformulated" contract of internal/population/rows.go.
-func TestRowKernelIsByteIdentical(t *testing.T) {
-	for _, seed := range determinismSeeds {
-		build := func(rows bool) *World {
-			w, err := NewWorld(
-				WithSeed(seed),
-				WithCatalogSize(4000),
-				WithPanelSize(150),
-				WithProfileMedian(120),
-				WithActivityGrid(128),
-				WithRowKernel(rows),
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return w
-		}
-		wOn, wOff := build(true), build(false)
-		if !wOn.Model().RowKernelEnabled() || wOff.Model().RowKernelEnabled() {
-			t.Fatal("row-kernel knob did not take effect")
-		}
-		for _, sel := range []core.Selector{core.LeastPopular{}, core.Random{}} {
-			rows, err := core.Collect(wOn.PanelUsers(), sel, core.NewEngineSource(wOn.Audience()),
-				core.CollectConfig{Seed: rng.New(seed), Parallelism: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			exp, err := core.Collect(wOff.PanelUsers(), sel, core.NewEngineSource(wOff.Audience()),
-				core.CollectConfig{Seed: rng.New(seed), Parallelism: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rows.AS) != len(exp.AS) {
-				t.Fatalf("seed %d %s: row counts differ", seed, sel.Name())
-			}
-			for ui := range exp.AS {
-				for n := range exp.AS[ui] {
-					if !sameFloat(exp.AS[ui][n], rows.AS[ui][n]) {
-						t.Fatalf("seed %d %s: AS[%d][%d] = %v inline-exp vs %v kernel",
-							seed, sel.Name(), ui, n, exp.AS[ui][n], rows.AS[ui][n])
-					}
-				}
-			}
-			estRows, err := core.EstimateNP(rows, 0.9, core.EstimateConfig{
-				BootstrapIters: 200, CILevel: 0.95, Rand: rng.New(seed)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			estExp, err := core.EstimateNP(exp, 0.9, core.EstimateConfig{
-				BootstrapIters: 200, CILevel: 0.95, Rand: rng.New(seed)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameFloat(estRows.NP, estExp.NP) || !sameFloat(estRows.CI.Lo, estExp.CI.Lo) ||
-				!sameFloat(estRows.CI.Hi, estExp.CI.Hi) {
-				t.Fatalf("seed %d %s: estimate diverged: kernel %+v vs inline-exp %+v",
-					seed, sel.Name(), estRows, estExp)
-			}
-		}
-		// flexible_spec unions (mixed clause widths) evaluate through the
-		// dedicated kernel restructure; gate them directly.
-		r := rng.New(seed ^ 0xBEEF)
-		for trial := 0; trial < 40; trial++ {
-			clauses := make([][]interest.ID, 1+r.Intn(5))
-			for c := range clauses {
-				clause := make([]interest.ID, 1+r.Intn(4))
-				for i := range clause {
-					clause[i] = interest.ID(r.Intn(wOn.CatalogSize()))
-				}
-				clauses[c] = clause
-			}
-			a := wOn.Model().UnionConjunctionShare(clauses)
-			b := wOff.Model().UnionConjunctionShare(clauses)
-			if !sameFloat(a, b) {
-				t.Fatalf("seed %d trial %d: union kernel %v != inline-exp %v", seed, trial, a, b)
-			}
-		}
-		if n, _ := wOn.Model().RowStats(); n == 0 {
-			t.Fatalf("seed %d: kernel world materialized no rows; the gate is vacuous", seed)
-		}
-	}
-}
-
-// TestColumnKernelIsByteIdentical gates the columnar bootstrap kernel: a
-// world estimating on presorted panel columns and counting quantiles (the
-// default) must produce byte-identical output to a world running the naive
-// gather-copy-sort resample path (WithColumnKernel(false)) — VAS vectors at
-// every study quantile, N_P point estimates and bootstrap percentile CIs,
-// for both selection strategies, at workers 1 and 4. This is the "multiset
-// quantile of a resample equals the quantile of its sorted expansion"
-// contract of internal/core/columns.go.
-func TestColumnKernelIsByteIdentical(t *testing.T) {
-	for _, seed := range determinismSeeds {
-		build := func(kernel bool) *World {
-			w, err := NewWorld(
-				WithSeed(seed),
-				WithCatalogSize(4000),
-				WithPanelSize(150),
-				WithProfileMedian(120),
-				WithActivityGrid(128),
-				WithColumnKernel(kernel),
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return w
-		}
-		wOn, wOff := build(true), build(false)
-		for _, sel := range []core.Selector{core.LeastPopular{}, core.Random{}} {
-			kernel, err := core.Collect(wOn.PanelUsers(), sel, core.NewEngineSource(wOn.Audience()),
-				core.CollectConfig{Seed: rng.New(seed)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			naive, err := core.Collect(wOff.PanelUsers(), sel, core.NewEngineSource(wOff.Audience()),
-				core.CollectConfig{Seed: rng.New(seed), DisableColumnKernel: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if kernel.DisableColumnKernel || !naive.DisableColumnKernel {
-				t.Fatal("column-kernel knob did not take effect")
-			}
-			for _, q := range []float64{0.5, 0.8, 0.9, 0.95} {
-				a, b := kernel.VAS(q), naive.VAS(q)
-				for n := range a {
-					if !sameFloat(a[n], b[n]) {
-						t.Fatalf("seed %d %s: VAS(%v)[%d] = %v kernel vs %v naive",
-							seed, sel.Name(), q, n, a[n], b[n])
-					}
-				}
-			}
-			for _, workers := range []int{1, 4} {
-				ek, err := core.EstimateNP(kernel, 0.9, core.EstimateConfig{
-					BootstrapIters: 300, CILevel: 0.95, Rand: rng.New(seed), Parallelism: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				en, err := core.EstimateNP(naive, 0.9, core.EstimateConfig{
-					BootstrapIters: 300, CILevel: 0.95, Rand: rng.New(seed), Parallelism: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameFloat(ek.NP, en.NP) || !sameFloat(ek.CI.Lo, en.CI.Lo) ||
-					!sameFloat(ek.CI.Hi, en.CI.Hi) || !sameFloat(ek.R2, en.R2) {
-					t.Fatalf("seed %d %s workers %d: estimate diverged: kernel %+v vs naive %+v",
-						seed, sel.Name(), workers, ek, en)
-				}
-			}
-			if kernel.SampleCountAt(1) != naive.SampleCountAt(1) ||
-				kernel.SampleCountAt(kernel.MaxN) != naive.SampleCountAt(naive.MaxN) {
-				t.Fatalf("seed %d %s: SampleCountAt diverged between index and scan", seed, sel.Name())
-			}
-		}
-		// The World-level knob must actually thread through the façade:
-		// the full §4 study (collection + point fits + bootstrap CIs for
-		// both strategies and every P) run on the WithColumnKernel(true)
-		// world must be byte-identical to the WithColumnKernel(false) one.
-		studyOn, err := wOn.EstimateUniqueness(UniquenessOptions{BootstrapIters: 150})
-		if err != nil {
-			t.Fatal(err)
-		}
-		studyOff, err := wOff.EstimateUniqueness(UniquenessOptions{BootstrapIters: 150})
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, b := studyOn.Estimates(), studyOff.Estimates()
-		if len(a) != len(b) || len(a) == 0 {
-			t.Fatalf("seed %d: study row counts differ (%d vs %d)", seed, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("seed %d: façade study row %d diverged:\nkernel %+v\nnaive  %+v", seed, i, a[i], b[i])
-			}
-		}
-	}
-}
-
 // TestCanonicalModeWorkersSelfConsistent gates the relaxed ModeCanonical
 // contract the way the exact gates above gate bit-identity: a canonical
 // engine evaluating an adversarial permuted-probe workload must return

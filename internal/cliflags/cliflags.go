@@ -1,7 +1,7 @@
 // Package cliflags is the single flag surface for world construction: one
 // RegisterWorldFlags call binds the shared -catalog/-panel/-seed/-workers/
-// -cache/-cachecap/-cache-mode/-column-kernel/-population flags straight
-// into a worldcfg.Config, replacing the per-tool flag blocks the seven cmd
+// -cache/-cachecap/-cache-mode/-population flags straight into a
+// worldcfg.Config, replacing the per-tool flag blocks the seven cmd
 // tools used to duplicate. Flag names, default values and semantics are
 // byte-for-byte what the tools always exposed; per-tool differences (which
 // flags exist, their defaults, their usage wording) are expressed with
@@ -19,15 +19,14 @@ import (
 
 // The registrable flag names.
 const (
-	FlagCatalog      = "catalog"
-	FlagPanel        = "panel"
-	FlagSeed         = "seed"
-	FlagWorkers      = "workers"
-	FlagCache        = "cache"
-	FlagCacheCap     = "cachecap"
-	FlagCacheMode    = "cache-mode"
-	FlagColumnKernel = "column-kernel"
-	FlagPopulation   = "population"
+	FlagCatalog    = "catalog"
+	FlagPanel      = "panel"
+	FlagSeed       = "seed"
+	FlagWorkers    = "workers"
+	FlagCache      = "cache"
+	FlagCacheCap   = "cachecap"
+	FlagCacheMode  = "cache-mode"
+	FlagPopulation = "population"
 )
 
 // defaultSet is what RegisterWorldFlags registers without options — the
@@ -35,7 +34,7 @@ const (
 // this set). FlagPopulation is opt-in via With.
 var defaultSet = []string{
 	FlagCatalog, FlagPanel, FlagSeed, FlagWorkers,
-	FlagCache, FlagCacheCap, FlagCacheMode, FlagColumnKernel,
+	FlagCache, FlagCacheCap, FlagCacheMode,
 }
 
 type registration struct {
@@ -87,15 +86,14 @@ func RegisterWorldFlags(fs *flag.FlagSet, opts ...Option) *worldcfg.Config {
 		cfg:     worldcfg.Default(),
 		include: make(map[string]bool, len(defaultSet)),
 		usage: map[string]string{
-			FlagCatalog:      "interest catalog size",
-			FlagPanel:        "panel size",
-			FlagSeed:         "world seed",
-			FlagWorkers:      "worker goroutines for collection and bootstrap (0 = one per core, 1 = sequential)",
-			FlagCache:        "enable the shared audience-query cache (false = uncached legacy path; results are identical)",
-			FlagCacheCap:     "audience cache capacity in conjunction prefixes (0 = default)",
-			FlagCacheMode:    "audience cache contract: exact (byte-identical ordered path) or canonical (permutation-invariant set cache; bounded relative error)",
-			FlagColumnKernel: "enable the columnar bootstrap kernel (false = naive sort-per-resample path; results are identical)",
-			FlagPopulation:   "modeled user base",
+			FlagCatalog:    "interest catalog size",
+			FlagPanel:      "panel size",
+			FlagSeed:       "world seed",
+			FlagWorkers:    "worker goroutines for collection and bootstrap (0 = one per core, 1 = sequential)",
+			FlagCache:      "enable the shared audience-query cache (false = uncached legacy path; results are identical)",
+			FlagCacheCap:   "audience cache capacity in conjunction prefixes (0 = default)",
+			FlagCacheMode:  "audience cache contract: exact (byte-identical ordered path) or canonical (permutation-invariant set cache; bounded relative error)",
+			FlagPopulation: "modeled user base",
 		},
 	}
 	for _, n := range defaultSet {
@@ -117,9 +115,6 @@ func RegisterWorldFlags(fs *flag.FlagSet, opts ...Option) *worldcfg.Config {
 	reg(FlagCache, func(u string) { fs.Var(&invertedBool{target: &cfg.Cache.Disabled}, FlagCache, u) })
 	reg(FlagCacheCap, func(u string) { fs.IntVar(&cfg.Cache.Capacity, FlagCacheCap, cfg.Cache.Capacity, u) })
 	reg(FlagCacheMode, func(u string) { fs.Var(&modeValue{target: &cfg.Cache.Mode}, FlagCacheMode, u) })
-	reg(FlagColumnKernel, func(u string) {
-		fs.Var(&invertedBool{target: &cfg.Kernels.DisableColumnKernel}, FlagColumnKernel, u)
-	})
 	reg(FlagPopulation, func(u string) {
 		fs.Int64Var(&cfg.Population.Population, FlagPopulation, cfg.Population.Population, u)
 	})

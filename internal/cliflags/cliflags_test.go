@@ -22,7 +22,7 @@ func newSet(t *testing.T) *flag.FlagSet {
 func TestDefaultSurface(t *testing.T) {
 	fs := newSet(t)
 	cfg := RegisterWorldFlags(fs)
-	for _, name := range []string{"catalog", "panel", "seed", "workers", "cache", "cachecap", "cache-mode", "column-kernel"} {
+	for _, name := range []string{"catalog", "panel", "seed", "workers", "cache", "cachecap", "cache-mode"} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("default surface is missing -%s", name)
 		}
@@ -44,7 +44,7 @@ func TestParseBindsEveryFlag(t *testing.T) {
 	err := fs.Parse([]string{
 		"-catalog", "123", "-panel", "45", "-seed", "9", "-workers", "3",
 		"-cache=false", "-cachecap", "77", "-cache-mode", "canonical",
-		"-column-kernel=false", "-population", "1000000",
+		"-population", "1000000",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,8 +63,20 @@ func TestParseBindsEveryFlag(t *testing.T) {
 	if cfg.Cache.Mode != audience.ModeCanonical {
 		t.Errorf("Cache.Mode = %v", cfg.Cache.Mode)
 	}
-	if !cfg.Kernels.DisableColumnKernel {
-		t.Error("-column-kernel=false must set Kernels.DisableColumnKernel")
+}
+
+// TestColumnKernelFlagRejected: the columnar bootstrap kernel is the only
+// estimator path, so -column-kernel is no longer a flag and parsing it fails.
+func TestColumnKernelFlagRejected(t *testing.T) {
+	for _, arg := range []string{"-column-kernel=false", "-column-kernel"} {
+		fs := newSet(t)
+		RegisterWorldFlags(fs)
+		if fs.Lookup("column-kernel") != nil {
+			t.Fatal("-column-kernel is still registered")
+		}
+		if err := fs.Parse([]string{arg}); err == nil {
+			t.Errorf("%s parsed without error", arg)
+		}
 	}
 }
 

@@ -40,16 +40,16 @@ package core
 // placed at the lo/hi order statistics, and the interpolation arithmetic
 // applied to them is QuantileSorted's own expression. VAS vectors, FitVAS
 // outputs, N_P point estimates and bootstrap percentile CIs are
-// byte-identical with the kernel on or off — gated by
-// TestColumnKernelIsByteIdentical (determinism_test.go, seeds {0,1,42},
-// workers 1 vs 4), a differential fuzz target (FuzzColumnarVAS) and the
-// golden pins, which must not move. The lazy fit is exact too: the rule
+// byte-identical to the naive path, which survives only as test oracles in
+// oracle_test.go (vasIdx, naiveEstimateNP, sampleCountScan) — gated by
+// TestColumnKernelIsByteIdentical (real worlds of seeds {0,1,42}, workers 1
+// and 4), a differential fuzz target (FuzzColumnarVAS) and the golden pins,
+// which must not move. The lazy fit is exact too: the rule
 // reads column i only after columns 0..i-1 were non-NaN, positive and above
 // the floor, and the bootstrap statistic is the fit's N_P alone, so a
 // column the rule never reaches cannot change an output bit or an error
 // (FuzzColumnarVAS compares fitResample with FitVAS on the naive vector;
 // TestFitResamplePoisonedTail breaks every column past the censor point).
-// Samples.DisableColumnKernel restores the naive sort-per-resample path.
 //
 // # Memory envelope
 //
@@ -220,10 +220,11 @@ func (s *Samples) resampleAt(counts []int32, sc *resampleScratch, n int, q float
 	return stats.CountingQuantileSorted(cols.vals[n], cols.users[n], counts, total, q)
 }
 
-// fitResample is FitVAS(vasIdx(q, idx)) on the column index, the statistic
-// EstimateNP's bootstrap computes per resample. The censoring rule pulls
-// columns lazily, so only the K columns up to the first floored (or empty)
-// one are ever walked: O(K·U) instead of O(MaxN·U). Bit-identical to the
+// fitResample is FitVAS(vasIdx(q, idx)) on the column index (vasIdx is the
+// naive test oracle in oracle_test.go), the statistic EstimateNP's
+// bootstrap computes per resample. The censoring rule pulls columns lazily,
+// so only the K columns up to the first floored (or empty) one are ever
+// walked: O(K·U) instead of O(MaxN·U). Bit-identical to the
 // full-vector fit, because a column the rule never reaches cannot change
 // its points, its error or N_P. Zero allocations once warm.
 func (s *Samples) fitResample(q float64, idx []int, sc *resampleScratch) (FitResult, error) {
@@ -249,10 +250,12 @@ func (s *Samples) vasResample(q float64, idx []int, sc *resampleScratch) []float
 	return out
 }
 
-// vasFull is VAS on the column index: with every row's multiplicity one, the
-// per-N quantile is QuantileSorted over the presorted column directly —
-// O(MaxN) after the one-time index build.
-func (s *Samples) vasFull(q float64) []float64 {
+// VAS computes the vector VAS(Q) = [AS(Q,1), ..., AS(Q,MaxN)] for quantile
+// q in (0,1): the per-N q-quantile of audience size across users (§4.1).
+// Index i holds AS(Q, i+1). Entries with no samples are NaN. With every
+// row's multiplicity one, the per-N quantile is QuantileSorted over the
+// presorted column directly — O(MaxN) after the one-time index build.
+func (s *Samples) VAS(q float64) []float64 {
 	cols := s.columns()
 	out := make([]float64, s.MaxN)
 	for n := range out {

@@ -73,7 +73,7 @@ func TestColumnarResampleMatchesNaive(t *testing.T) {
 			// Full-panel VAS must agree too.
 			for _, q := range []float64{0.25, 0.5, 0.9} {
 				naive := s.vasIdx(q, nil)
-				kernel := s.vasFull(q)
+				kernel := s.VAS(q)
 				for n := range naive {
 					if !bitsEqual(naive[n], kernel[n]) {
 						t.Fatalf("ragged=%v seed=%d VAS q=%v n=%d: naive %v != kernel %v",
@@ -196,29 +196,25 @@ func TestFitResamplePoisonedTail(t *testing.T) {
 	check("broken index", false)
 }
 
-// TestEstimateNPKnobIsByteIdentical flips DisableColumnKernel on one
-// collected table: point estimate, CI bounds and R² must not move by a bit,
-// at workers 1 and 4.
-func TestEstimateNPKnobIsByteIdentical(t *testing.T) {
+// TestEstimateNPMatchesNaive compares EstimateNP on one collected table
+// with the naiveEstimateNP oracle: point estimate, CI bounds and R² must not
+// move by a bit, at workers 1 and 4.
+func TestEstimateNPMatchesNaive(t *testing.T) {
 	users := panelUsers(40, 30)
 	src := powerLawSource(1.7, 1e7, 20)
+	s, err := Collect(users, Random{}, src, CollectConfig{Seed: rng.New(11)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 4} {
-		kernel, err := Collect(users, Random{}, src, CollectConfig{Seed: rng.New(11)})
+		cfg := func() EstimateConfig {
+			return EstimateConfig{BootstrapIters: 300, CILevel: 0.95, Rand: rng.New(12), Parallelism: workers}
+		}
+		ek, err := EstimateNP(s, 0.9, cfg())
 		if err != nil {
 			t.Fatal(err)
 		}
-		naive, err := Collect(users, Random{}, src, CollectConfig{Seed: rng.New(11), DisableColumnKernel: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if kernel.DisableColumnKernel || !naive.DisableColumnKernel {
-			t.Fatal("CollectConfig.DisableColumnKernel did not take effect")
-		}
-		ek, err := EstimateNP(kernel, 0.9, EstimateConfig{BootstrapIters: 300, CILevel: 0.95, Rand: rng.New(12), Parallelism: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		en, err := EstimateNP(naive, 0.9, EstimateConfig{BootstrapIters: 300, CILevel: 0.95, Rand: rng.New(12), Parallelism: workers})
+		en, err := naiveEstimateNP(s, 0.9, cfg())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,16 +226,14 @@ func TestEstimateNPKnobIsByteIdentical(t *testing.T) {
 }
 
 // TestSampleCountAtMatchesScan: the column-index-derived counts must equal
-// the legacy O(U·N) rescan for every N, in and out of range, on both NaN
+// the naive O(U) rescan for every N, in and out of range, on both NaN
 // shapes.
 func TestSampleCountAtMatchesScan(t *testing.T) {
 	for _, ragged := range []bool{false, true} {
 		s := syntheticSamples(t, 70, 25, 3, ragged)
-		naive := syntheticSamples(t, 70, 25, 3, ragged)
-		naive.DisableColumnKernel = true
 		for n := -1; n <= s.MaxN+2; n++ {
-			if got, want := s.SampleCountAt(n), naive.SampleCountAt(n); got != want {
-				t.Fatalf("ragged=%v SampleCountAt(%d) = %d, legacy scan says %d", ragged, n, got, want)
+			if got, want := s.SampleCountAt(n), s.sampleCountScan(n); got != want {
+				t.Fatalf("ragged=%v SampleCountAt(%d) = %d, naive scan says %d", ragged, n, got, want)
 			}
 		}
 	}

@@ -85,7 +85,7 @@ func FuzzColumnarVAS(f *testing.F) {
 
 		// The full-panel fast path must agree with the naive scan too.
 		fullNaive := s.vasIdx(q, nil)
-		fullKernel := s.vasFull(q)
+		fullKernel := s.VAS(q)
 		for n := range fullNaive {
 			a, b := fullNaive[n], fullKernel[n]
 			if math.IsNaN(a) && math.IsNaN(b) {

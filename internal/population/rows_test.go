@@ -9,90 +9,145 @@ import (
 	"nanotarget/internal/rng"
 )
 
-// rowTestModels builds a kernel-on / kernel-off model pair over one catalog.
-func rowTestModels(t *testing.T) (on, off *Model) {
+// worldModel builds the model a world of the given master seed calibrates:
+// the catalog stream is derived with the "catalog" label exactly as
+// worldcfg.Config.BuildCatalog derives it, over the paper's 1.5e9 base.
+func worldModel(t testing.TB, seed uint64, catalogSize, grid int) *Model {
 	t.Helper()
 	icfg := interest.DefaultConfig()
-	icfg.Size = 1500
-	cat, err := interest.Generate(icfg, rng.New(9))
+	icfg.Size = catalogSize
+	icfg.Population = 1_500_000_000
+	cat, err := interest.Generate(icfg, rng.New(seed).Derive("catalog"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(disable bool) *Model {
-		cfg := DefaultConfig(cat)
-		cfg.ActivityGridSize = 128
-		cfg.DisableRowKernel = disable
-		m, err := NewModel(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
+	cfg := DefaultConfig(cat)
+	cfg.ActivityGridSize = grid
+	m, err := NewModel(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return build(false), build(true)
+	return m
 }
 
 func bitsEqual(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
-// TestRowKernelBitIdentical is the hoisting contract at the model level:
-// every evaluation path — incremental And, whole conjunctions, resumed
-// queries and flexible_spec unions — must return the exact bits of the
-// legacy inline-exp() code.
+// expConjunctionShare is the test-only oracle for the row kernel's
+// conjunction path: the pre-kernel evaluation, with exp(−t·λ) computed
+// inline per (interest, grid point) and multiplied into the survivor
+// product as 1 − exp(−t·λ), then summed against the grid masses.
+func expConjunctionShare(m *Model, ids []interest.ID) float64 {
+	partial := make([]float64, len(m.actT))
+	for k := range partial {
+		partial[k] = 1
+	}
+	for _, id := range ids {
+		lambda := m.lambda[id]
+		for k, t := range m.actT {
+			partial[k] *= 1 - math.Exp(-t*lambda)
+		}
+	}
+	s := 0.0
+	for k, p := range m.actP {
+		s += p * partial[k]
+	}
+	return s
+}
+
+// expUnionShare is the test-only oracle for UnionConjunctionShare: the
+// pre-kernel per-grid-point exp() triple loop, early break included.
+func expUnionShare(m *Model, clauses [][]interest.ID) float64 {
+	s := 0.0
+	for k, t := range m.actT {
+		prod := 1.0
+		for _, clause := range clauses {
+			miss := 1.0
+			for _, id := range clause {
+				miss *= math.Exp(-t * m.lambda[id])
+			}
+			prod *= 1 - miss
+			if prod == 0 {
+				break
+			}
+		}
+		s += m.actP[k] * prod
+	}
+	return s
+}
+
+// TestRowKernelBitIdentical is the hoisting contract: every evaluation path
+// the pipeline calls — incremental And (allocating and pooled), whole
+// conjunctions, resumed queries (allocating and pooled, the audience
+// engine's extension path) and flexible_spec unions — must return the exact
+// bits of the inline-exp() oracles, on the models worlds of seeds
+// {0, 1, 42} calibrate (4,000-interest catalog, 128-point grid).
 func TestRowKernelBitIdentical(t *testing.T) {
-	on, off := rowTestModels(t)
-	if !on.RowKernelEnabled() || off.RowKernelEnabled() {
-		t.Fatal("row-kernel knob did not take effect")
-	}
-	r := rng.New(21)
-	catLen := on.Catalog().Len()
-	randIDs := func(n int) []interest.ID {
-		ids := make([]interest.ID, n)
-		for i := range ids {
-			ids[i] = interest.ID(r.Intn(catLen))
+	for _, seed := range []uint64{0, 1, 42} {
+		m := worldModel(t, seed, 4000, 128)
+		r := rng.New(seed ^ 21)
+		catLen := m.Catalog().Len()
+		randIDs := func(n int) []interest.ID {
+			ids := make([]interest.ID, n)
+			for i := range ids {
+				ids[i] = interest.ID(r.Intn(catLen))
+			}
+			return ids
 		}
-		return ids
-	}
-	// Whole conjunctions and per-prefix shares.
-	for trial := 0; trial < 60; trial++ {
-		ids := randIDs(1 + r.Intn(25))
-		qOn, qOff := on.NewQuery(), off.NewQuery()
-		for i, id := range ids {
-			qOn.And(id)
-			qOff.And(id)
-			if a, b := qOn.Share(), qOff.Share(); !bitsEqual(a, b) {
-				t.Fatalf("trial %d prefix %d: kernel %v != legacy %v", trial, i+1, a, b)
+		// Whole conjunctions and per-prefix shares.
+		for trial := 0; trial < 60; trial++ {
+			ids := randIDs(1 + r.Intn(25))
+			q, pooled := m.NewQuery(), m.BorrowQuery()
+			for i, id := range ids {
+				q.And(id)
+				pooled.And(id)
+				want := expConjunctionShare(m, ids[:i+1])
+				if got := q.Share(); !bitsEqual(got, want) {
+					t.Fatalf("seed %d trial %d prefix %d: kernel %v != inline exp %v", seed, trial, i+1, got, want)
+				}
+				if got := pooled.Share(); !bitsEqual(got, want) {
+					t.Fatalf("seed %d trial %d prefix %d: pooled kernel %v != inline exp %v", seed, trial, i+1, got, want)
+				}
+			}
+			pooled.Release()
+			want := expConjunctionShare(m, ids)
+			if got := m.ConjunctionShare(ids); !bitsEqual(got, want) {
+				t.Fatalf("seed %d trial %d: ConjunctionShare kernel %v != inline exp %v", seed, trial, got, want)
+			}
+			// Resuming mid-conjunction must agree too.
+			if len(ids) > 2 {
+				half := len(ids) / 2
+				qh := m.BorrowQuery()
+				for _, id := range ids[:half] {
+					qh.And(id)
+				}
+				surv := qh.Survivors()
+				qh.Release()
+				res, pres := m.ResumeQuery(surv, half), m.BorrowResumeQuery(surv, half)
+				for _, id := range ids[half:] {
+					res.And(id)
+					pres.And(id)
+				}
+				if got := res.Share(); !bitsEqual(got, want) {
+					t.Fatalf("seed %d trial %d: resumed kernel %v != inline exp %v", seed, trial, got, want)
+				}
+				if got := pres.Share(); !bitsEqual(got, want) {
+					t.Fatalf("seed %d trial %d: pooled resumed kernel %v != inline exp %v", seed, trial, got, want)
+				}
+				pres.Release()
 			}
 		}
-		if a, b := on.ConjunctionShare(ids), off.ConjunctionShare(ids); !bitsEqual(a, b) {
-			t.Fatalf("trial %d: ConjunctionShare kernel %v != legacy %v", trial, a, b)
-		}
-		// Resuming mid-conjunction must agree too (the audience engine's
-		// extension path).
-		if len(ids) > 2 {
-			half := len(ids) / 2
-			qh := on.NewQuery()
-			for _, id := range ids[:half] {
-				qh.And(id)
+		// flexible_spec unions: mixed single- and multi-interest clauses,
+		// including the degenerate pure-conjunction shape.
+		for trial := 0; trial < 60; trial++ {
+			clauses := make([][]interest.ID, 1+r.Intn(6))
+			for c := range clauses {
+				clauses[c] = randIDs(1 + r.Intn(4))
 			}
-			res := on.ResumeQuery(qh.Survivors(), half)
-			for _, id := range ids[half:] {
-				res.And(id)
+			if got, want := m.UnionConjunctionShare(clauses), expUnionShare(m, clauses); !bitsEqual(got, want) {
+				t.Fatalf("seed %d trial %d: union kernel %v != inline exp %v (clauses %v)", seed, trial, got, want, clauses)
 			}
-			if a, b := res.Share(), off.ConjunctionShare(ids); !bitsEqual(a, b) {
-				t.Fatalf("trial %d: resumed kernel %v != legacy %v", trial, a, b)
-			}
-		}
-	}
-	// flexible_spec unions: mixed single- and multi-interest clauses,
-	// including the degenerate pure-conjunction shape.
-	for trial := 0; trial < 60; trial++ {
-		clauses := make([][]interest.ID, 1+r.Intn(6))
-		for c := range clauses {
-			clauses[c] = randIDs(1 + r.Intn(4))
-		}
-		if a, b := on.UnionConjunctionShare(clauses), off.UnionConjunctionShare(clauses); !bitsEqual(a, b) {
-			t.Fatalf("trial %d: union kernel %v != legacy %v (clauses %v)", trial, a, b, clauses)
 		}
 	}
 }
@@ -101,7 +156,7 @@ func TestRowKernelBitIdentical(t *testing.T) {
 // one row per touched interest, full table after WarmAllRows, empty after
 // ResetRows.
 func TestRowKernelLaziness(t *testing.T) {
-	on, off := rowTestModels(t)
+	on := worldModel(t, 9, 1500, 128)
 	if n, b := on.RowStats(); n != 0 || b != 0 {
 		t.Fatalf("fresh model has %d rows (%d bytes) materialized", n, b)
 	}
@@ -123,17 +178,11 @@ func TestRowKernelLaziness(t *testing.T) {
 	if n, b := on.RowStats(); n != 0 || b != 0 {
 		t.Fatalf("after ResetRows: %d rows, %d bytes", n, b)
 	}
-	// Disabled kernel: everything is a no-op and stats stay zero.
-	off.WarmAllRows()
-	off.ConjunctionShare(ids)
-	if n, b := off.RowStats(); n != 0 || b != 0 {
-		t.Fatalf("disabled kernel materialized %d rows (%d bytes)", n, b)
-	}
 }
 
 // TestRowInterning checks concurrent first touches intern one canonical row.
 func TestRowInterning(t *testing.T) {
-	on, _ := rowTestModels(t)
+	on := worldModel(t, 9, 1500, 128)
 	const goroutines = 8
 	rows := make([][]float64, goroutines)
 	var wg sync.WaitGroup
@@ -158,7 +207,7 @@ func TestRowInterning(t *testing.T) {
 // TestBorrowQueryPool checks the pooled query API matches the allocating one
 // and that released state cannot leak into the next borrow.
 func TestBorrowQueryPool(t *testing.T) {
-	on, _ := rowTestModels(t)
+	on := worldModel(t, 9, 1500, 128)
 	ids := []interest.ID{10, 20, 30, 40}
 	want := on.ConjunctionShare(ids)
 

@@ -9,7 +9,7 @@ import (
 )
 
 // kernelGridPasses independently counts the contiguous grid loops
-// population.Model.unionShareKernel runs for a clause set, by walking the
+// population.Model.UnionConjunctionShare runs for a clause set, by walking the
 // kernel's control flow rather than SpecCost's arithmetic: a one-interest
 // clause folds its row straight into the product (one pass); a multi-interest
 // clause multiplies one row pass per interest into its miss vector and then
@@ -45,7 +45,7 @@ func demoTerms(f population.DemoFilter) int {
 
 // TestSpecCostMatchesKernelWork gates SpecCost against an independent count
 // of the row-kernel's grid passes (kernelGridPasses above, derived from
-// unionShareKernel's loop structure) across randomized spec shapes: the
+// UnionConjunctionShare's loop structure) across randomized spec shapes: the
 // admission controller must charge the work the backend will actually do.
 func TestSpecCostMatchesKernelWork(t *testing.T) {
 	r := rng.New(7).Derive("spec-cost")

@@ -183,7 +183,9 @@ func TestProxyForwardsDeadlineHeader(t *testing.T) {
 
 // TestShardServerDeadlineHeaderValidation: a malformed or non-positive
 // X-Deadline-Ms is a caller bug answered 400; a generous valid one serves
-// normally.
+// normally, including budgets too long for a time.Duration, which saturate
+// (unchecked, 9223372036855 ms wrapped negative and answered 504, and
+// 18446744073710 ms wrapped to 448µs).
 func TestShardServerDeadlineHeaderValidation(t *testing.T) {
 	cfg := smallConfig(1)
 	srv, _ := shardHandler(t, cfg, 0, 1)
@@ -196,6 +198,10 @@ func TestShardServerDeadlineHeaderValidation(t *testing.T) {
 		{"0", http.StatusBadRequest},
 		{"-5", http.StatusBadRequest},
 		{"60000", http.StatusOK},
+		{"9223372036855", http.StatusOK},
+		{"18446744073710", http.StatusOK},
+		{"99999999999999999999999", http.StatusOK},
+		{"-99999999999999999999999", http.StatusBadRequest},
 	} {
 		req := httptest.NewRequest(http.MethodPost, shardPathShares, bytes.NewReader(body))
 		req.Header.Set(DeadlineHeader, tc.header)

@@ -136,6 +136,36 @@ func FuzzParseRetryAfter(f *testing.F) {
 	})
 }
 
+// FuzzParseDeadlineMs: any X-Deadline-Ms value the shard accepts is a
+// positive budget, accepted budgets are monotone in the milliseconds
+// (saturating, never wrapping), and exact wherever a time.Duration can hold
+// them.
+func FuzzParseDeadlineMs(f *testing.F) {
+	f.Add("60000", uint64(1), uint64(2))
+	f.Add("9223372036855", uint64(9223372036854), uint64(9223372036855))
+	f.Add("18446744073710", uint64(18446744073709), uint64(18446744073710))
+	f.Add("-5", uint64(0), uint64(1<<64-1))
+	f.Fuzz(func(t *testing.T, h string, a, b uint64) {
+		if d, ok := parseDeadlineMs(h); ok && d <= 0 {
+			t.Fatalf("parseDeadlineMs(%q) accepted a non-positive budget %v", h, d)
+		}
+		if a > b {
+			a, b = b, a
+		}
+		da, oka := parseDeadlineMs(strconv.FormatUint(a, 10))
+		db, okb := parseDeadlineMs(strconv.FormatUint(b, 10))
+		if oka != (a > 0) || okb != (b > 0) {
+			t.Fatalf("acceptance: %dms -> %v, %dms -> %v", a, oka, b, okb)
+		}
+		if oka && da > db {
+			t.Fatalf("not monotone: %dms -> %v, %dms -> %v", a, da, b, db)
+		}
+		if oka && a <= uint64(math.MaxInt64/time.Millisecond) && da != time.Duration(a)*time.Millisecond {
+			t.Fatalf("%dms parsed as %v", a, da)
+		}
+	})
+}
+
 // FuzzParseShardTopology: the -proxy topology parser never panics, and any
 // spec it accepts yields one shard per comma-separated field, one replica
 // per |-separated URL, every URL non-empty, trimmed and free of separators.

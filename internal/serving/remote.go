@@ -187,16 +187,35 @@ func NewShardServer(b *LocalBackend, info ShardInfo) (*ShardServer, error) {
 // deadlineExpired).
 func (s *ShardServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if raw := r.Header.Get(DeadlineHeader); raw != "" {
-		ms, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil || ms <= 0 {
+		d, ok := parseDeadlineMs(raw)
+		if !ok {
 			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad %s header %q", DeadlineHeader, raw))
 			return
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), time.Duration(ms)*time.Millisecond)
+		ctx, cancel := context.WithTimeout(r.Context(), d)
 		defer cancel()
 		r = r.WithContext(ctx)
 	}
 	s.mux.ServeHTTP(w, r)
+}
+
+// parseDeadlineMs reads a DeadlineHeader value: a positive count of whole
+// milliseconds. Non-numeric and non-positive values are rejected (ok is
+// false). A budget too long for a time.Duration saturates at the largest
+// one instead of wrapping, as ParseRetryAfter does: unchecked,
+// "9223372036855" ms would overflow to a negative deadline (an immediate
+// 504) and "18446744073710" to a 448µs one.
+func parseDeadlineMs(raw string) (time.Duration, bool) {
+	// Past the int64 range ParseInt returns ±MaxInt64 with ErrRange; the
+	// positive case then saturates like any other over-long budget.
+	ms, err := strconv.ParseInt(raw, 10, 64)
+	if (err != nil && !errors.Is(err, strconv.ErrRange)) || ms <= 0 {
+		return 0, false
+	}
+	if ms > int64(math.MaxInt64/time.Millisecond) {
+		return math.MaxInt64, true
+	}
+	return time.Duration(ms) * time.Millisecond, true
 }
 
 // deadlineExpired reports — and answers 504 for — a request whose context

@@ -38,22 +38,20 @@ import (
 
 // World is a calibrated synthetic Facebook with a research panel.
 type World struct {
-	model           *population.Model
-	audience        *audience.Engine
-	panel           *fdvt.Panel
-	root            *rng.Rand
-	parallelism     int
-	columnKernelOff bool
+	model       *population.Model
+	audience    *audience.Engine
+	panel       *fdvt.Panel
+	root        *rng.Rand
+	parallelism int
 }
 
 // WorldConfig is the complete, grouped world-construction configuration:
 // PopulationParams (seed, catalog, user base, panel), CacheParams (the
-// audience-query cache), KernelParams (the two evaluation kernels) and the
-// Parallelism knob. It is shared — by alias — with the serving tier
-// (internal/serving builds every shard from the same struct) and the cmd
-// flag surface (internal/cliflags registers flags straight into it). Start
-// from DefaultWorldConfig and adjust fields, or use the With* options, which
-// are thin adapters over the same struct.
+// audience-query cache) and the Parallelism knob. It is shared — by alias —
+// with the serving tier (internal/serving builds every shard from the same
+// struct) and the cmd flag surface (internal/cliflags registers flags
+// straight into it). Start from DefaultWorldConfig and adjust fields, or use
+// the With* options, which are thin adapters over the same struct.
 type WorldConfig = worldcfg.Config
 
 // PopulationParams groups the synthetic-population knobs of a WorldConfig.
@@ -61,9 +59,6 @@ type PopulationParams = worldcfg.PopulationParams
 
 // CacheParams groups the audience-cache knobs of a WorldConfig.
 type CacheParams = worldcfg.CacheParams
-
-// KernelParams groups the evaluation-kernel toggles of a WorldConfig.
-type KernelParams = worldcfg.KernelParams
 
 // DefaultWorldConfig returns the paper's full-scale configuration — the
 // defaults NewWorld applies before its options.
@@ -126,31 +121,6 @@ func WithAudienceCacheMode(m audience.Mode) Option {
 	return func(c *WorldConfig) { c.Cache.Mode = m }
 }
 
-// WithRowKernel toggles the population model's precomputed inclusion-row
-// kernel (default on). The kernel hoists the per-grid-point exp() of every
-// audience evaluation into lazily materialized, interned per-interest rows,
-// turning cold conjunction and flexible_spec-union evaluation into
-// contiguous multiply loops. Results are bit-identical either way under a
-// fixed seed (the kernel hoists the exact inline expressions — gated in
-// determinism_test.go); only wall time and row-table memory
-// (ActivityGrid × 8 bytes per touched interest) change.
-func WithRowKernel(on bool) Option {
-	return func(c *WorldConfig) { c.Kernels.DisableRowKernel = !on }
-}
-
-// WithColumnKernel toggles the estimator's presorted columnar bootstrap
-// kernel (default on). The kernel presorts each combination size's panel
-// column once and turns every bootstrap resample's quantile into a
-// sort-free counting walk (internal/core/columns.go), so a 10k-iteration
-// EstimateNP never sorts. Results are bit-identical either way under a
-// fixed seed — the kernel selects the exact order statistics the naive
-// sort would have and applies the same interpolation arithmetic (gated in
-// determinism_test.go); only wall time and the column-index memory
-// (12 bytes per collected sample) change.
-func WithColumnKernel(on bool) Option {
-	return func(c *WorldConfig) { c.Kernels.DisableColumnKernel = !on }
-}
-
 // WithParallelism sets the worker count used by every study and experiment
 // the world runs (default 0 = runtime.GOMAXPROCS(0), i.e. one worker per
 // core; 1 = sequential execution on the caller's goroutine). Results are
@@ -200,12 +170,11 @@ func NewWorldFromConfig(cfg WorldConfig) (*World, error) {
 		return nil, fmt.Errorf("nanotarget: building panel: %w", err)
 	}
 	return &World{
-		model:           model,
-		audience:        cfg.NewEngine(model),
-		panel:           panel,
-		root:            root,
-		parallelism:     cfg.Parallelism,
-		columnKernelOff: cfg.Kernels.DisableColumnKernel,
+		model:       model,
+		audience:    cfg.NewEngine(model),
+		panel:       panel,
+		root:        root,
+		parallelism: cfg.Parallelism,
 	}, nil
 }
 
@@ -254,7 +223,7 @@ func (w *World) AudienceCacheMode() audience.Mode { return w.audience.Mode() }
 // exp() cost — the serving-deployment trade documented in
 // internal/population/rows.go: catalog × grid × 8 bytes of memory (~400 MiB
 // at the full paper scale, ~80 MiB for a 20k-interest catalog at the default
-// 512-point grid). No-op when the kernel is off (WithRowKernel(false)).
+// 512-point grid).
 func (w *World) WarmAudienceRows() { w.model.WarmAllRows() }
 
 // PanelUsers exposes the panel for advanced, in-module use.
@@ -456,14 +425,13 @@ func (w *World) EstimateUniqueness(opts UniquenessOptions) (*UniquenessStudy, er
 		}
 	}
 	cfg := core.StudyConfig{
-		Ps:                  opts.Ps,
-		Selectors:           selectors,
-		MaxN:                core.MaxCombinationInterests,
-		BootstrapIters:      opts.BootstrapIters,
-		CILevel:             0.95,
-		Rand:                w.root.Derive("uniqueness"),
-		Parallelism:         w.workers(opts.Parallelism),
-		DisableColumnKernel: w.columnKernelOff,
+		Ps:             opts.Ps,
+		Selectors:      selectors,
+		MaxN:           core.MaxCombinationInterests,
+		BootstrapIters: opts.BootstrapIters,
+		CILevel:        0.95,
+		Rand:           w.root.Derive("uniqueness"),
+		Parallelism:    w.workers(opts.Parallelism),
 	}
 	res, err := core.RunStudy(w.panel.Users, core.NewEngineSource(w.audience), cfg)
 	if err != nil {
@@ -547,14 +515,13 @@ func (w *World) GroupUniquenessWithOptions(g Grouping, opts GroupUniquenessOptio
 		opts.BootstrapIters = 500
 	}
 	res, err := core.RunGroupAnalysis(w.panel.Users, core.NewEngineSource(w.audience), core.GroupConfig{
-		Groups:              groups,
-		Selectors:           []core.Selector{core.LeastPopular{}, core.Random{}},
-		P:                   opts.P,
-		BootstrapIters:      opts.BootstrapIters,
-		Rand:                w.root.Derive("groups"),
-		Parallelism:         w.workers(opts.Parallelism),
-		DisableColumnKernel: w.columnKernelOff,
-		WorldwideAudiences:  opts.WorldwideAudiences,
+		Groups:             groups,
+		Selectors:          []core.Selector{core.LeastPopular{}, core.Random{}},
+		P:                  opts.P,
+		BootstrapIters:     opts.BootstrapIters,
+		Rand:               w.root.Derive("groups"),
+		Parallelism:        w.workers(opts.Parallelism),
+		WorldwideAudiences: opts.WorldwideAudiences,
 	})
 	if err != nil {
 		return nil, err
@@ -624,11 +591,10 @@ func (w *World) EstimateDemographicBoost(opts DemographicKnowledgeOptions) (Demo
 		core.NewEngineSource(w.audience),
 		know.Fn(),
 		core.DemoStudyConfig{
-			P:                   opts.P,
-			BootstrapIters:      opts.BootstrapIters,
-			Seed:                w.root.Derive("demoboost"),
-			Parallelism:         w.parallelism,
-			DisableColumnKernel: w.columnKernelOff,
+			P:              opts.P,
+			BootstrapIters: opts.BootstrapIters,
+			Seed:           w.root.Derive("demoboost"),
+			Parallelism:    w.parallelism,
 		},
 	)
 	if err != nil {
@@ -678,9 +644,8 @@ func (w *World) UniquenessUnderFloors(floors []int64, p float64, bootstrapIters 
 		src.MinReach = floor
 		seed := w.root.Derive(fmt.Sprintf("floorpolicy/%d", floor))
 		samples, err := core.Collect(w.panel.Users, core.Random{}, src, core.CollectConfig{
-			Seed:                seed.Derive("collect"),
-			Parallelism:         w.parallelism,
-			DisableColumnKernel: w.columnKernelOff,
+			Seed:        seed.Derive("collect"),
+			Parallelism: w.parallelism,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("nanotarget: floor %d collection: %w", floor, err)
