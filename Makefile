@@ -50,7 +50,7 @@ bench-serving:
 	$(GO) run ./cmd/fbadsload -catalog 20000 -population 100000000 -accounts 400 -probes 10 -interests 18 -concurrency 8 -sweep 1,4 -json BENCH_serving.json
 	CATALOG=20000 POPULATION=100000000 ACCOUNTS=400 PROBES=10 INTERESTS=18 \
 		CONCURRENCY=8 OUT_JSON=BENCH_serving_proxy.json sh scripts/proxy_smoke.sh
-	rm -f BENCH_serving_proxy-degraded.json BENCH_serving_proxy-chaos.json BENCH_serving_proxy-replica.json
+	rm -f BENCH_serving_proxy-degraded.json BENCH_serving_proxy-chaos.json BENCH_serving_proxy-replica.json BENCH_serving_proxy-unhedged.json
 
 # Total-coverage gate: fails when coverage drops below COVERAGE_FLOOR.
 cover:

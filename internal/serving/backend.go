@@ -1,8 +1,9 @@
 // Package serving is the multi-world serving tier behind the simulated
 // Marketing API: the ReachBackend contract the API server estimates reach
-// through, a LocalBackend wrapping one in-process model/engine pair, a
-// ShardedBackend that splits the population by user-ID range across N
-// backend shards and scatter-gathers their audience shares, and an
+// through, a LocalBackend wrapping one in-process model/engine pair, one
+// scatter-gather fold (shardFold, sharded.go) that splits the population by
+// user-ID range across N backend shards — ShardedBackend runs it over
+// in-process shards, ProxyBackend over shard processes (remote.go) — and an
 // admission controller that throttles per-advertiser-account request floods
 // (the Faizullabhoy–Korolova abuse pattern) with 429 + Retry-After.
 //
@@ -18,14 +19,15 @@
 // (worldcfg.Config.BuildModel). A targeting spec's global audience is then
 // composed from per-shard shares multiplicatively: shard s contributes
 // weight_s · share_s where weight_s = pop_s/pop is its population mass, and
-// the aggregator sums the terms in shard-index order.
+// the fold sums the terms in shard-index order.
 //
 // Because share_s is bit-identical across shards and to the single world,
-// exactness is preservable by construction: at N=1 the single term is
-// 1.0 · share — byte-identical to LocalBackend — and at N>1 the only
+// exactness is preservable by construction: at N=1 the fold returns the one
+// shard's share bare — byte-identical to LocalBackend — and at N>1 the only
 // deviation is floating-point reassociation of the weighted sum, bounded
 // well inside 1e-12 relative error. Both bounds are gated by the property
-// tests in this package.
+// tests in this package. The same fact means every shard repeats the whole
+// computation: sharding an analytic world splits no work.
 package serving
 
 import (
@@ -102,18 +104,11 @@ func NewLocalBackend(model *population.Model, engine *audience.Engine) (*LocalBa
 	return &LocalBackend{model: model, engine: engine}, nil
 }
 
-// NewLocalBackendFromConfig builds the single world described by cfg — the
-// same construction a ShardedBackend shard uses, at full population.
+// NewLocalBackendFromConfig builds the single world described by cfg: the
+// world of shard 0 of 1, which owns the full population.
 func NewLocalBackendFromConfig(cfg worldcfg.Config) (*LocalBackend, error) {
-	cat, err := cfg.BuildCatalog()
-	if err != nil {
-		return nil, err
-	}
-	model, err := cfg.BuildModel(cat, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &LocalBackend{model: model, engine: cfg.NewEngine(model)}, nil
+	b, _, err := NewShardBackend(cfg, 0, 1)
+	return b, err
 }
 
 // Catalog implements ReachBackend.
@@ -151,6 +146,16 @@ func (b *LocalBackend) AudienceStats(context.Context) audience.Stats { return b.
 
 // WarmRows implements ReachBackend (ctx ignored; see DemoShare).
 func (b *LocalBackend) WarmRows(context.Context) { b.model.WarmAllRows() }
+
+// shares makes a shard LocalBackend a shardCaller: ShardServer.handleShares
+// and the in-process fold both evaluate a request with evalShares on the
+// shard's engine. An in-process call cannot fail and has no wire body or
+// retry budget.
+func (b *LocalBackend) shares(_ context.Context, q *sharesRequest, _ []byte, _ *queryBudget) (shares, error) {
+	return evalShares(b.engine, q), nil
+}
+
+func (b *LocalBackend) stats(context.Context, *queryBudget) audience.Stats { return b.engine.Stats() }
 
 // Model exposes the backing model (test and wiring use).
 func (b *LocalBackend) Model() *population.Model { return b.model }

@@ -141,6 +141,51 @@ func TestProxyDeadlinePanicsDeadlineExceeded(t *testing.T) {
 	}
 }
 
+// TestShardedBackendCancel: the shard fold's cancellation rule holds in
+// process too. A ShardedBackend of any shard count — N=1 included, which
+// goes through the same fold — panics *CanceledError wrapping the context's
+// error once the caller's context has ended, on every share method. A
+// LocalBackend, whose engine has no cancellation points, ignores ctx.
+func TestShardedBackendCancel(t *testing.T) {
+	cfg := smallConfig(1)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel2()
+	r := rng.New(1).Derive(t.Name())
+	f, clauses := randomFilter(r), randomClauses(r, cfg.Population.CatalogSize)
+
+	for _, n := range []int{1, 2, 3} {
+		b, err := NewShardedBackend(context.Background(), cfg, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			ctx  context.Context
+			want error
+		}{{canceled, context.Canceled}, {expired, context.DeadlineExceeded}} {
+			for name, call := range map[string]func(){
+				"DemoShare":           func() { b.DemoShare(tc.ctx, f) },
+				"UnionShare":          func() { b.UnionShare(tc.ctx, clauses) },
+				"ReachShares":         func() { b.ReachShares(tc.ctx, f, clauses) },
+				"ConditionalAudience": func() { b.ConditionalAudience(tc.ctx, f, clauses[0]) },
+			} {
+				if ce := expectCanceled(t, call); !errors.Is(ce, tc.want) {
+					t.Fatalf("shards=%d %s: CanceledError wraps %v, want %v", n, name, ce.Err, tc.want)
+				}
+			}
+		}
+	}
+
+	local, err := NewLocalBackendFromConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := local.UnionShare(canceled, clauses), local.UnionShare(context.Background(), clauses); got != want {
+		t.Fatalf("LocalBackend under a canceled ctx = %v, want %v", got, want)
+	}
+}
+
 // TestProxyForwardsDeadlineHeader pins the wire contract: every RPC carries
 // X-Deadline-Ms with the remaining budget — min(caller deadline, per-RPC
 // timeout), never more.

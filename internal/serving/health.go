@@ -117,7 +117,9 @@ type HealthStats struct {
 	Hedged int64 `json:"hedged,omitempty"`
 	// HedgeWins counts hedged attempts that answered first.
 	HedgeWins int64 `json:"hedge_wins,omitempty"`
-	// Failovers counts sequential replica failovers (hedging disarmed).
+	// Failovers counts replica attempts launched after a failed attempt
+	// while hedging is disarmed (HedgeAfter 0): the same escalation Hedged
+	// counts when hedging is armed, so each escalation is tallied once.
 	Failovers int64 `json:"failovers,omitempty"`
 	// RetryBudgetExhausted counts RPCs abandoned because their query's
 	// shared retry budget ran dry (each counts as that shard's failure).
@@ -173,47 +175,24 @@ func (h *healthMonitor) liveReplicas(shard int) []int {
 	return live
 }
 
-// deadShards returns, as one consistent snapshot, the dead flags (a shard is
-// dead only when EVERY replica is down) and the down replicas' URLs of those
-// dead shards.
-func (h *healthMonitor) deadShards() (dead []bool, urls []string) {
+// deadURLs returns, as one consistent snapshot, the replica URLs of every
+// dead shard — a shard is dead only when EVERY replica is down — in
+// shard-major order.
+func (h *healthMonitor) deadURLs() (urls []string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	dead = make([]bool, len(h.shards))
-	for i, reps := range h.shards {
-		allDown := true
-		for _, s := range reps {
-			if s.up {
-				allDown = false
-				break
-			}
-		}
-		if allDown {
-			dead[i] = true
-			for _, s := range reps {
-				urls = append(urls, s.url)
-			}
-		}
-	}
-	return dead, urls
-}
-
-func (h *healthMonitor) anyShardDead() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+next:
 	for _, reps := range h.shards {
-		allDown := true
 		for _, s := range reps {
 			if s.up {
-				allDown = false
-				break
+				continue next
 			}
 		}
-		if allDown {
-			return true
+		for _, s := range reps {
+			urls = append(urls, s.url)
 		}
 	}
-	return false
+	return urls
 }
 
 // markDown records a replica failure (probe or data path).
@@ -286,7 +265,7 @@ func (p *ProxyBackend) HealthStats() HealthStats {
 // the survivors serve the byte-identical world. The adsapi server stamps
 // reach responses "degraded": true while this holds.
 func (p *ProxyBackend) Degraded() bool {
-	return p.policy == PolicyRenormalize && p.health.anyShardDead()
+	return p.policy == PolicyRenormalize && len(p.health.deadURLs()) > 0
 }
 
 // ProbeNow runs one synchronous health-probe round: every replica's
@@ -309,8 +288,8 @@ func (p *ProxyBackend) Degraded() bool {
 // successes may close a breaker.
 func (p *ProxyBackend) ProbeNow(ctx context.Context) {
 	var wg sync.WaitGroup
-	for i := range p.shards {
-		for r := range p.shards[i] {
+	for i := range p.urls {
+		for r := range p.urls[i] {
 			wg.Add(1)
 			go func(i, r int) {
 				defer wg.Done()
@@ -333,7 +312,7 @@ func (p *ProxyBackend) ProbeNow(ctx context.Context) {
 func (p *ProxyBackend) probeReplica(ctx context.Context, shard, replica int) error {
 	ctx, cancel := context.WithTimeout(ctx, p.probeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.shards[shard][replica]+shardPathHealth, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.urls[shard][replica]+shardPathHealth, nil)
 	if err != nil {
 		return err
 	}
@@ -359,9 +338,9 @@ func (p *ProxyBackend) probeReplica(ctx context.Context, shard, replica int) err
 	case info.Wire != shardWireVersion:
 		return fmt.Errorf("health probe: shard speaks wire format %d, proxy speaks %d (proxy and shards must run the same build)",
 			info.Wire, shardWireVersion)
-	case info.Shard != shard || info.Shards != len(p.shards):
+	case info.Shard != shard || info.Shards != len(p.urls):
 		return fmt.Errorf("health probe: identity mismatch: shard %d/%d, proxy expects %d/%d",
-			info.Shard, info.Shards, shard, len(p.shards))
+			info.Shard, info.Shards, shard, len(p.urls))
 	case info.Lo != p.ranges[shard].Lo || info.Hi != p.ranges[shard].Hi:
 		return fmt.Errorf("health probe: range [%d, %d), proxy expects shard %d to own [%d, %d)",
 			info.Lo, info.Hi, shard, p.ranges[shard].Lo, p.ranges[shard].Hi)

@@ -1,8 +1,8 @@
 // Process-sharded serving: the network topology behind `fbadsd -shard-of` /
 // `-proxy`. A ShardServer exposes one shard's reach primitives over a small
 // HTTP RPC — one binary /shard/v1/shares call per shard per query (wire.go),
-// JSON for the control endpoints; a ProxyBackend implements ReachBackend by
-// scatter-gathering those RPCs across N shard processes — each optionally
+// JSON for the control endpoints; a ProxyBackend is the shard fold
+// (sharded.go) over those RPCs across N shard processes — each optionally
 // replicated — with per-RPC timeouts, bounded jittered retry, hedged
 // requests, health-checked degradation (health.go) and per-replica circuit
 // breakers (breaker.go).
@@ -14,15 +14,16 @@
 // worlds by construction — shard models are share-calibrated pure functions
 // of (worldcfg.Config, range), and the per-replica health probes verify the
 // full identity (index/count/range/population/catalog) against the proxy's
-// own config — so routing between them never changes an answer. Per RPC the
-// proxy picks the preferred (lowest-index) live replica; on failure it fails
-// over to the next live replica, and with HedgeAfter armed it additionally
-// fires the SAME request at the next live replica once the hedge delay
-// elapses without an answer — first success wins and the losers' contexts
-// are canceled (their breakers see OnCanceled, not OnFailure). Degradation
-// policies engage only when EVERY replica of a shard is down: losing one
-// replica of a replicated shard keeps answers bit-identical and
-// un-degraded.
+// own config — so routing between them never changes an answer. One loop,
+// raceReplicas, routes every RPC: the preferred (lowest-index) live replica
+// starts it, a failure hands the SAME request to the next live replica, and
+// with HedgeAfter armed the next live replica also joins once the hedge
+// delay elapses without an answer — first success wins and the losers'
+// contexts are canceled (their breakers see OnCanceled, not OnFailure).
+// Sequential failover is that loop with the hedge delay at ∞: attempts run
+// one at a time on the caller's goroutine. Degradation policies engage only
+// when EVERY replica of a shard is down: losing one replica of a replicated
+// shard keeps answers bit-identical and un-degraded.
 //
 // # Deadline propagation
 //
@@ -34,14 +35,14 @@
 //
 // # Exactness
 //
-// The proxy folds per-shard shares exactly like the in-process
-// ShardedBackend: per factor, weight_s · share_s summed in shard-index order,
-// with the same single-shard short-circuit. A shard process builds its model
-// with the same range arithmetic and share-based calibration
-// (NewShardBackend == ShardedBackend's per-shard construction) and evaluates
-// a request with the same evalShares, so its shares are bit-identical to the
-// in-process shard's; and the wire carries each share as its raw 8 IEEE-754
-// bytes, so the hop cannot change a bit. Healthy-topology proxy answers are
+// The proxy and the in-process ShardedBackend are the same fold
+// (shardFold.gather): per factor, weight_s · share_s summed in shard-index
+// order, with the same single-shard short-circuit. A shard process builds
+// its world with the same range arithmetic and share-based calibration
+// (shardRanges, newShardWorld) and evaluates a request with the same
+// evalShares, so its shares are bit-identical to the in-process shard's;
+// and the wire carries each share as its raw 8 IEEE-754 bytes, so the hop
+// cannot change a bit. Healthy-topology proxy answers are
 // therefore byte-identical to ShardedBackend at the same shard split —
 // property-gated in remote_test.go over replicas {1,2} × shards {1,2,3} ×
 // seeds {0,1,42}, hedging armed.
@@ -64,7 +65,6 @@ import (
 	"nanotarget/internal/audience"
 	"nanotarget/internal/interest"
 	"nanotarget/internal/parallel"
-	"nanotarget/internal/population"
 	"nanotarget/internal/rng"
 	"nanotarget/internal/worldcfg"
 )
@@ -128,27 +128,23 @@ type ShardInfo struct {
 // index's — and to every other replica built from the same (cfg, index,
 // count), which is what makes proxy-side replica failover exact.
 func NewShardBackend(cfg worldcfg.Config, index, count int) (*LocalBackend, ShardInfo, error) {
-	if count < 1 {
-		return nil, ShardInfo{}, fmt.Errorf("serving: shard count %d must be >= 1", count)
+	pop := cfg.Population.Population
+	ranges, err := shardRanges(pop, count)
+	if err != nil {
+		return nil, ShardInfo{}, err
 	}
 	if index < 0 || index >= count {
 		return nil, ShardInfo{}, fmt.Errorf("serving: shard index %d outside [0, %d)", index, count)
-	}
-	pop := cfg.Population.Population
-	if int64(count) > pop {
-		return nil, ShardInfo{}, fmt.Errorf("serving: %d shards exceed population %d", count, pop)
 	}
 	cat, err := cfg.BuildCatalog()
 	if err != nil {
 		return nil, ShardInfo{}, err
 	}
-	r := ShardRange{Lo: pop * int64(index) / int64(count), Hi: pop * int64(index+1) / int64(count)}
-	model, err := cfg.BuildModel(cat, r.Size())
+	b, err := newShardWorld(cfg, cat, index, ranges[index])
 	if err != nil {
-		return nil, ShardInfo{}, fmt.Errorf("serving: shard %d: %w", index, err)
+		return nil, ShardInfo{}, err
 	}
-	b := &LocalBackend{model: model, engine: cfg.NewEngine(model)}
-	return b, ShardInfo{Index: index, Count: count, Range: r, TotalPopulation: pop}, nil
+	return b, ShardInfo{Index: index, Count: count, Range: ranges[index], TotalPopulation: pop}, nil
 }
 
 // ShardServer serves one shard's reach primitives over the shard RPC:
@@ -230,12 +226,6 @@ func (s *ShardServer) deadlineExpired(w http.ResponseWriter, r *http.Request) bo
 	}
 	return false
 }
-
-// Backend exposes the shard's LocalBackend (test and wiring use).
-func (s *ShardServer) Backend() *LocalBackend { return s.backend }
-
-// Info exposes the shard's topology identity.
-func (s *ShardServer) Info() ShardInfo { return s.info }
 
 func (s *ShardServer) writeJSON(w http.ResponseWriter, v any) {
 	buf, err := json.Marshal(v)
@@ -370,11 +360,13 @@ type ProxyConfig struct {
 	// shard's failure. 0 defaults to 2 × MaxRetries; negative disables the
 	// cap.
 	RetryBudget int
-	// HedgeAfter arms hedged requests: a shard RPC still unanswered after
-	// this delay is duplicated to the shard's next live replica, first
-	// success wins, losers are canceled. Zero (the default) disables
-	// hedging; replicas then give sequential failover only. The hedge timer
-	// sleeps through Sleep, so tests drive it deterministically.
+	// HedgeAfter is the hedge delay: a shard RPC still unanswered after it
+	// is duplicated to the shard's next live replica, first success wins,
+	// losers are canceled. Zero (the default) disarms hedging — a delay of
+	// ∞ — so replicas give sequential failover only: each attempt runs on
+	// the caller's goroutine and a failure moves on to the next replica.
+	// The hedge timer sleeps through Sleep, so tests drive it
+	// deterministically.
 	HedgeAfter time.Duration
 	// Jitter supplies the backoff jitter fraction in [0, 1) for a given
 	// (shard, replica, attempt); the retry wait is stretched to
@@ -406,17 +398,19 @@ type ProxyConfig struct {
 	Sleep func(ctx context.Context, d time.Duration) error
 }
 
-// ProxyBackend implements ReachBackend over N shard PROCESSES: the network
-// counterpart of ShardedBackend. Every share query scatters the shard RPC to
-// all live shards (per-RPC timeout, bounded jittered retry under a shared
-// per-query budget) and folds the answers weight_s · share_s in shard-index
-// order — with a healthy topology, byte-identical to ShardedBackend at the
-// same shard split (see the package comment's exactness argument).
+// ProxyBackend implements ReachBackend over N shard PROCESSES: the shard
+// fold ShardedBackend runs, over remote shards. Every share query sends one
+// shard RPC to each live shard (per-RPC timeout, bounded jittered retry
+// under a shared per-query budget) and folds the answers weight_s · share_s
+// in shard-index order — with a healthy topology, byte-identical to
+// ShardedBackend at the same shard split (see the package comment's
+// exactness argument).
 //
 // A shard may be served by several replicas (ProxyConfig.Shards). Each
-// replica carries its own health state and circuit breaker; the RPC goes to
-// the preferred live replica with exact failover — and, when HedgeAfter is
-// armed, a hedged duplicate — to the next (see the package comment).
+// replica carries its own health state and circuit breaker; raceReplicas
+// sends the RPC to the preferred live replica with exact failover — and,
+// when HedgeAfter is armed, a hedged duplicate — to the next (see the
+// package comment).
 //
 // Failure behaviour is governed by the health subsystem (health.go):
 // replicas marked down by probes are skipped, RPC failures mark replicas
@@ -425,25 +419,18 @@ type ProxyConfig struct {
 // HTTP 503) and renormalizing over the live shards (PolicyRenormalize,
 // responses stamped degraded).
 type ProxyBackend struct {
-	catalog *interest.Catalog
-	pop     int64
-	shards  [][]string
-	ranges  []ShardRange
-	weights []float64
+	shardFold
 
 	timeout       time.Duration
 	maxRetries    int
 	retryBase     time.Duration
-	retryBudget   int // per-query retry cap; <= 0 means uncapped
 	hedgeAfter    time.Duration
 	jitter        func(shard, replica, attempt int) float64
-	policy        Policy
 	probeInterval time.Duration
 	probeTimeout  time.Duration
 	client        *http.Client
 	sleep         func(ctx context.Context, d time.Duration) error
 
-	health   *healthMonitor
 	breakers [][]*breaker
 
 	hedged          atomic.Int64
@@ -456,8 +443,8 @@ type ProxyBackend struct {
 // cfg: the interest catalog is generated locally (bit-identical to every
 // shard's — catalog generation is a pure function of the config), shard
 // ranges and weights come from the same integer range arithmetic
-// ShardedBackend uses, and all reach arithmetic composes scatter-gathered
-// shares. No shard is contacted during construction; replicas start
+// ShardedBackend uses, and all reach arithmetic is the shard fold over
+// remote shards. No shard is contacted during construction; replicas start
 // optimistically up and the first probe or scatter corrects that.
 func NewProxyBackend(cfg worldcfg.Config, pc ProxyConfig) (*ProxyBackend, error) {
 	if len(pc.URLs) > 0 && len(pc.Shards) > 0 {
@@ -469,13 +456,10 @@ func NewProxyBackend(cfg worldcfg.Config, pc ProxyConfig) (*ProxyBackend, error)
 			topo = append(topo, []string{u})
 		}
 	}
-	n := len(topo)
-	if n < 1 {
-		return nil, errors.New("serving: ProxyConfig needs at least one shard URL")
-	}
 	pop := cfg.Population.Population
-	if int64(n) > pop {
-		return nil, fmt.Errorf("serving: %d shards exceed population %d", n, pop)
+	ranges, err := shardRanges(pop, len(topo))
+	if err != nil {
+		return nil, err
 	}
 	if pc.Timeout <= 0 {
 		pc.Timeout = 10 * time.Second
@@ -526,54 +510,48 @@ func NewProxyBackend(cfg worldcfg.Config, pc ProxyConfig) (*ProxyBackend, error)
 	if err != nil {
 		return nil, err
 	}
-	shards := make([][]string, n)
-	ranges := make([]ShardRange, n)
-	weights := make([]float64, n)
+	if pc.Breaker.Now == nil {
+		pc.Breaker.Now = pc.Now
+	}
+	urls := make([][]string, len(topo))
+	breakers := make([][]*breaker, len(topo))
 	for i, reps := range topo {
 		if len(reps) == 0 {
 			return nil, fmt.Errorf("serving: shard %d has no replica URLs", i)
 		}
-		shards[i] = make([]string, len(reps))
+		urls[i] = make([]string, len(reps))
+		breakers[i] = make([]*breaker, len(reps))
 		for r, u := range reps {
 			u = strings.TrimSuffix(strings.TrimSpace(u), "/")
 			if u == "" {
 				return nil, fmt.Errorf("serving: shard %d replica %d has an empty URL", i, r)
 			}
-			shards[i][r] = u
-		}
-		ranges[i] = ShardRange{Lo: pop * int64(i) / int64(n), Hi: pop * int64(i+1) / int64(n)}
-		weights[i] = float64(ranges[i].Size()) / float64(pop)
-	}
-	if pc.Breaker.Now == nil {
-		pc.Breaker.Now = pc.Now
-	}
-	breakers := make([][]*breaker, n)
-	for i := range breakers {
-		breakers[i] = make([]*breaker, len(shards[i]))
-		for r := range breakers[i] {
+			urls[i][r] = u
 			breakers[i][r] = newBreaker(pc.Breaker)
 		}
 	}
-	return &ProxyBackend{
-		catalog:       cat,
-		pop:           pop,
-		shards:        shards,
-		ranges:        ranges,
-		weights:       weights,
+	p := &ProxyBackend{
 		timeout:       pc.Timeout,
 		maxRetries:    pc.MaxRetries,
 		retryBase:     pc.RetryBase,
-		retryBudget:   pc.RetryBudget,
 		hedgeAfter:    pc.HedgeAfter,
 		jitter:        pc.Jitter,
-		policy:        pc.Policy,
 		probeInterval: pc.ProbeInterval,
 		probeTimeout:  pc.ProbeTimeout,
 		client:        pc.Client,
 		sleep:         pc.Sleep,
-		health:        newHealthMonitor(shards, pc.Now),
 		breakers:      breakers,
-	}, nil
+	}
+	shards := make([]shardCaller, len(topo))
+	for i := range shards {
+		shards[i] = &remoteShard{p: p, shard: i}
+	}
+	p.shardFold = newShardFold(cat, pop, ranges, shards)
+	p.health = newHealthMonitor(urls, pc.Now)
+	p.urls = urls
+	p.policy = pc.Policy
+	p.retryBudget = pc.RetryBudget
+	return p, nil
 }
 
 // defaultJitter derives a deterministic jitter stream from the world seed:
@@ -590,214 +568,55 @@ func defaultJitter(seed uint64) func(shard, replica, attempt int) float64 {
 	}
 }
 
-// NumShards returns the topology's shard count.
-func (p *ProxyBackend) NumShards() int { return len(p.shards) }
+// remoteShard is the proxy's shard caller: one shard's replica set, reached
+// over the shard RPC.
+type remoteShard struct {
+	p     *ProxyBackend
+	shard int
+}
 
-// Topology returns the replica base URLs, per shard in shard order.
-func (p *ProxyBackend) Topology() [][]string {
-	out := make([][]string, len(p.shards))
-	for i, reps := range p.shards {
-		out[i] = append([]string(nil), reps...)
+func (s *remoteShard) shares(ctx context.Context, q *sharesRequest, body []byte, bud *queryBudget) (shares, error) {
+	data, err := s.p.raceReplicas(ctx, s.shard, http.MethodPost, shardPathShares, body, bud)
+	if err != nil {
+		return shares{}, err
 	}
-	return out
-}
-
-// URLs returns each shard's preferred (first) replica base URL in shard
-// order — the full replica sets are in Topology.
-func (p *ProxyBackend) URLs() []string {
-	urls := make([]string, len(p.shards))
-	for i, reps := range p.shards {
-		urls[i] = reps[0]
+	v, err := parseShares(q.mask, data)
+	if err != nil {
+		return v, fmt.Errorf("serving: shard %d %s: bad response: %w", s.shard, shardPathShares, err)
 	}
-	return urls
+	return v, nil
 }
 
-// Policy returns the configured degradation policy.
-func (p *ProxyBackend) Policy() Policy { return p.policy }
-
-// Catalog implements ReachBackend: the proxy's locally generated catalog,
-// bit-identical to every shard's.
-func (p *ProxyBackend) Catalog() *interest.Catalog { return p.catalog }
-
-// Population implements ReachBackend.
-func (p *ProxyBackend) Population() int64 { return p.pop }
-
-// DemoShare implements ReachBackend. Like every proxy share method it panics
-// with *UnavailableError when the topology cannot serve under the policy,
-// and with *CanceledError when the caller's context ends mid-gather.
-func (p *ProxyBackend) DemoShare(ctx context.Context, f population.DemoFilter) float64 {
-	return p.gatherShares(ctx, sharesRequest{mask: 1 << factorDemo, filter: f})[factorDemo]
+func (s *remoteShard) stats(ctx context.Context, bud *queryBudget) audience.Stats {
+	var st audience.Stats
+	data, err := s.p.raceReplicas(ctx, s.shard, http.MethodGet, shardPathStats, nil, bud)
+	if err != nil || json.Unmarshal(data, &st) != nil {
+		return audience.Stats{}
+	}
+	return st
 }
 
-// UnionShare implements ReachBackend.
-func (p *ProxyBackend) UnionShare(ctx context.Context, clauses [][]interest.ID) float64 {
-	return p.gatherShares(ctx, sharesRequest{mask: 1 << factorUnion, clauses: clauses})[factorUnion]
-}
-
-// ReachShares implements ReachBackend: both factors ride one RPC per shard.
-func (p *ProxyBackend) ReachShares(ctx context.Context, f population.DemoFilter, clauses [][]interest.ID) (demo, union float64) {
-	v := p.gatherShares(ctx, sharesRequest{mask: 1<<factorDemo | 1<<factorUnion, filter: f, clauses: clauses})
-	return v[factorDemo], v[factorUnion]
-}
-
-// ConditionalAudience implements ReachBackend: both factor shares are
-// gathered in one RPC per shard and composed with the GLOBAL population —
-// the identical arithmetic ShardedBackend.ConditionalAudience applies, so
-// healthy-topology answers match it byte-for-byte.
-func (p *ProxyBackend) ConditionalAudience(ctx context.Context, f population.DemoFilter, ids []interest.ID) float64 {
-	v := p.gatherShares(ctx, sharesRequest{mask: 1<<factorDemo | 1<<factorConj, filter: f, ids: ids})
-	return conditionalAudience(p.pop, v[factorDemo], v[factorConj])
-}
-
-// AudienceStats implements ReachBackend: the fold of every reachable shard's
-// cache counters (stats are diagnostics — unreachable shards contribute
-// nothing rather than failing the call). With replicas the counters come
-// from whichever replica answered, so they describe ITS caches.
-func (p *ProxyBackend) AudienceStats(ctx context.Context) audience.Stats {
-	n := len(p.shards)
-	bud := p.newQueryBudget()
-	stats := make([]*audience.Stats, n)
-	_ = parallel.ForEach(ctx, n, n, func(i int) error {
-		var st audience.Stats
-		if data, err := p.callShard(ctx, i, http.MethodGet, shardPathStats, nil, bud); err == nil && json.Unmarshal(data, &st) == nil {
-			stats[i] = &st
-		}
+// WarmRows warms every replica of the shard, not just the preferred one: a
+// hedge or failover should land on warm rows too.
+func (s *remoteShard) WarmRows(ctx context.Context) {
+	n := len(s.p.urls[s.shard])
+	_ = parallel.ForEach(ctx, n, n, func(r int) error {
+		_, _ = s.p.callReplica(ctx, s.shard, r, http.MethodPost, shardPathWarm, nil, nil)
 		return nil
 	})
-	var total audience.Stats
-	for _, st := range stats {
-		if st != nil {
-			total = addStats(total, *st)
-		}
-	}
-	return total
-}
-
-// WarmRows implements ReachBackend: best-effort — every reachable replica's
-// shard materializes its full inclusion-row table. Warming fans out to ALL
-// replicas, not just the preferred one: a hedge or failover should land on
-// warm rows too.
-func (p *ProxyBackend) WarmRows(ctx context.Context) {
-	var units []func() error
-	for i := range p.shards {
-		for r := range p.shards[i] {
-			i, r := i, r
-			units = append(units, func() error {
-				_, _ = p.callReplica(ctx, i, r, http.MethodPost, shardPathWarm, nil, nil)
-				return nil
-			})
-		}
-	}
-	_ = parallel.ForEach(ctx, len(units), len(units), func(k int) error { return units[k]() })
-}
-
-// gatherShares scatters one /shard/v1/shares RPC carrying q across the
-// topology and folds each requested factor's answers. The body is encoded
-// once and sent to every shard. Per shard the RPC runs against the shard's
-// replica set (callShard): only a shard with NO usable replica counts as
-// failed. Every factor folds over the same answering shards, deterministically
-// (shard-index order) in every mode:
-//
-//   - all shards answered: Σ weight_s · share_s — ShardedBackend's exact
-//     arithmetic, with the same single-shard short-circuit;
-//   - PolicyFail and any shard dead or failing: panic *UnavailableError
-//     (the HTTP tier's 503, naming the dead shard's replica URLs);
-//   - PolicyRenormalize: dead shards (every replica down) are skipped,
-//     shards whose whole replica set fails the RPC are excluded, and the
-//     live terms are renormalized — Σ_live weight_s · share_s / Σ_live
-//     weight_s, or the bare share when a single shard survives. Zero live
-//     shards panic *UnavailableError.
-//
-// The caller's ctx threads into every RPC; if it ends mid-gather the method
-// panics *CanceledError instead of folding partial answers, and the
-// failures it caused are not held against the replicas.
-func (p *ProxyBackend) gatherShares(ctx context.Context, q sharesRequest) shares {
-	n := len(p.shards)
-	dead, deadURLs := p.health.deadShards()
-	if p.policy == PolicyFail && len(deadURLs) > 0 {
-		panic(&UnavailableError{Down: deadURLs})
-	}
-	body := q.appendTo(nil)
-	bud := p.newQueryBudget()
-	per := make([]shares, n)
-	errs := make([]error, n)
-	_ = parallel.ForEach(ctx, n, n, func(i int) error {
-		if dead[i] {
-			errs[i] = errors.New("skipped: every replica marked down")
-			return nil
-		}
-		data, err := p.callShard(ctx, i, http.MethodPost, shardPathShares, body, bud)
-		if err == nil {
-			if per[i], err = parseShares(q.mask, data); err != nil {
-				err = fmt.Errorf("serving: shard %d %s: bad response: %w", i, shardPathShares, err)
-			}
-		}
-		errs[i] = err
-		return nil
-	})
-	if err := ctx.Err(); err != nil {
-		panic(&CanceledError{Err: err})
-	}
-
-	var failedURLs []string
-	live := 0
-	lastLive := -1
-	for i, err := range errs {
-		if err != nil {
-			failedURLs = append(failedURLs, p.shards[i]...)
-		} else {
-			live++
-			lastLive = i
-		}
-	}
-	if len(failedURLs) == 0 {
-		// Healthy topology: ShardedBackend's exact fold.
-		if n == 1 {
-			return per[0]
-		}
-		var total shares
-		for i, w := range p.weights {
-			for k := range total {
-				total[k] += w * per[i][k]
-			}
-		}
-		return total
-	}
-	if p.policy == PolicyFail || live == 0 {
-		panic(&UnavailableError{Down: failedURLs})
-	}
-	if live == 1 {
-		// One survivor: its renormalized weight is exactly 1, so return the
-		// bare shares (mirrors the single-shard short-circuit and avoids the
-		// (w·s)/w rounding detour).
-		return per[lastLive]
-	}
-	var total shares
-	mass := 0.0
-	for i, err := range errs {
-		if err == nil {
-			for k := range total {
-				total[k] += p.weights[i] * per[i][k]
-			}
-			mass += p.weights[i]
-		}
-	}
-	for k := range total {
-		total[k] /= mass
-	}
-	return total
 }
 
 // queryBudget is one query's shared retry allowance across its whole shard
 // fan-out; a nil budget is uncapped.
 type queryBudget struct{ remaining atomic.Int64 }
 
-func (p *ProxyBackend) newQueryBudget() *queryBudget {
-	if p.retryBudget <= 0 {
+// newQueryBudget returns a budget of n retries, or nil (uncapped) for n <= 0.
+func newQueryBudget(n int) *queryBudget {
+	if n <= 0 {
 		return nil
 	}
 	b := &queryBudget{}
-	b.remaining.Store(int64(p.retryBudget))
+	b.remaining.Store(int64(n))
 	return b
 }
 
@@ -809,121 +628,120 @@ func (b *queryBudget) take() bool {
 	return b.remaining.Add(-1) >= 0
 }
 
-// callShard performs one shard RPC against the shard's replica set and
-// returns the winning response body. The preferred (lowest-index) live replica
-// serves it; on failure the next live replica takes over (exact — replicas
-// are byte-identical worlds), and with hedging armed a duplicate races the
-// slow attempt instead of waiting for it to fail. A shard-level error means
-// NO usable replica produced an answer.
-func (p *ProxyBackend) callShard(ctx context.Context, shard int, method, path string, body []byte, bud *queryBudget) ([]byte, error) {
-	candidates := p.health.liveReplicas(shard)
-	if len(candidates) == 0 {
-		return nil, fmt.Errorf("serving: shard %d: all %d replica(s) marked down", shard, len(p.shards[shard]))
-	}
-	if p.hedgeAfter > 0 && len(candidates) > 1 {
-		return p.raceReplicas(ctx, shard, candidates, method, path, body, bud)
-	}
-	return p.failoverReplicas(ctx, shard, candidates, method, path, body, bud)
+// replicaOutcome is one replica attempt's result; order is its launch order
+// (0 is the preferred replica).
+type replicaOutcome struct {
+	order int
+	data  []byte
+	err   error
 }
 
-// failoverReplicas tries the candidate replicas strictly in order (hedging
-// disarmed): each failure hands the identical request to the next live
-// replica. Because every candidate passed the same identity probe, the
-// answer is independent of WHICH replica produced it.
-func (p *ProxyBackend) failoverReplicas(ctx context.Context, shard int, candidates []int, method, path string, body []byte, bud *queryBudget) ([]byte, error) {
-	var lastErr error
-	for k, rep := range candidates {
-		if k > 0 {
-			p.failovers.Add(1)
+// hedgeRace is what an armed hedge adds to raceReplicas: the race context
+// that cancels the losers, the attempts' outcomes and the hedge timer.
+type hedgeRace struct {
+	ctx     context.Context
+	cancel  context.CancelFunc
+	results chan replicaOutcome // one slot per candidate: losers deliver and exit without a listener
+	timer   chan struct{}
+}
+
+// newHedgeRace returns nil — a hedge delay of ∞ — unless hedging is armed
+// and the shard has a second live replica to hedge to. Otherwise it starts
+// the hedge timer: a tick each time the hedge delay elapses after the
+// previous tick was taken, until every candidate could have joined.
+func (p *ProxyBackend) newHedgeRace(ctx context.Context, candidates int) *hedgeRace {
+	if p.hedgeAfter <= 0 || candidates < 2 {
+		return nil
+	}
+	h := &hedgeRace{results: make(chan replicaOutcome, candidates), timer: make(chan struct{})}
+	h.ctx, h.cancel = context.WithCancel(ctx)
+	go func() {
+		for n := 1; n < candidates && p.sleep(h.ctx, p.hedgeAfter) == nil; n++ {
+			select {
+			case h.timer <- struct{}{}:
+			case <-h.ctx.Done():
+				return
+			}
 		}
-		data, err := p.callReplica(ctx, shard, rep, method, path, body, bud)
-		if err == nil {
-			return data, nil
+	}()
+	return h
+}
+
+// raceReplicas is the proxy's one replica-routing loop (see the package
+// comment): it performs one shard RPC against the shard's live replicas and
+// returns the winning response body. Replicas being byte-identical worlds
+// is what makes "first success wins" sound: the bytes cannot depend on the
+// winner. All attempts debit the same shared retry budget, so hedging cannot
+// multiply a brownout's retry load. A shard-level error means NO usable
+// replica produced an answer.
+//
+// With the hedge delay at ∞ (hedging disarmed, or one live replica) each
+// attempt runs to completion on the caller's goroutine before the next
+// starts — no goroutine, context or channel per RPC — and an escalation
+// after a failure tallies Failovers; with hedging armed it tallies Hedged.
+func (p *ProxyBackend) raceReplicas(ctx context.Context, shard int, method, path string, body []byte, bud *queryBudget) ([]byte, error) {
+	candidates := p.health.liveReplicas(shard)
+	if len(candidates) == 0 {
+		return nil, fmt.Errorf("serving: shard %d: all %d replica(s) marked down", shard, len(p.urls[shard]))
+	}
+	h := p.newHedgeRace(ctx, len(candidates))
+	escalations := &p.failovers
+	if h != nil {
+		defer h.cancel()
+		escalations = &p.hedged
+	}
+	launched := 0
+	// launch starts the next candidate. Unhedged it runs here and its
+	// outcome is returned (done); hedged it joins the race and its outcome
+	// arrives on h.results.
+	launch := func() (res replicaOutcome, done bool) {
+		res.order = launched
+		launched++
+		rep := candidates[res.order]
+		if h == nil {
+			res.data, res.err = p.callReplica(ctx, shard, rep, method, path, body, bud)
+			return res, true
 		}
-		lastErr = err
+		go func(order int) {
+			data, err := p.callReplica(h.ctx, shard, rep, method, path, body, bud)
+			h.results <- replicaOutcome{order: order, data: data, err: err}
+		}(res.order)
+		return res, false
+	}
+	res, done := launch()
+	for failed := 0; ; {
+		if !done {
+			select {
+			case <-h.timer:
+				if launched < len(candidates) {
+					p.hedged.Add(1)
+					launch()
+				}
+				continue
+			case res = <-h.results:
+			}
+		}
+		if res.err == nil {
+			if h != nil && res.order > 0 {
+				p.hedgeWins.Add(1)
+			}
+			return res.data, nil
+		}
+		failed++
 		if ctx.Err() != nil {
 			// The caller is gone: the remaining replicas would only see the
 			// same dead context.
-			return nil, err
+			return nil, res.err
+		}
+		if launched < len(candidates) {
+			// A failed attempt escalates immediately — waiting out a hedge
+			// delay would only add latency to a known failure.
+			escalations.Add(1)
+			res, done = launch()
+		} else if failed == launched {
+			return nil, fmt.Errorf("serving: shard %d %s: every live replica failed: %w", shard, path, res.err)
 		}
 	}
-	return nil, fmt.Errorf("serving: shard %d %s: every live replica failed: %w", shard, path, lastErr)
-}
-
-// raceReplicas is the hedged call path: the preferred replica starts
-// immediately; whenever the hedge delay elapses without an answer — or a
-// running attempt fails outright — the next candidate joins the race with
-// the identical request. The first success wins and cancels the rest
-// (their breakers observe OnCanceled, a neutral verdict). Replicas being
-// byte-identical worlds is what makes "first success wins" sound: the bytes
-// cannot depend on the winner. All racing attempts debit the same shared
-// retry budget, so hedging cannot multiply a brownout's retry load.
-func (p *ProxyBackend) raceReplicas(ctx context.Context, shard int, candidates []int, method, path string, body []byte, bud *queryBudget) ([]byte, error) {
-	raceCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type outcome struct {
-		order int // launch order: 0 is the preferred replica
-		data  []byte
-		err   error
-	}
-	// Buffered to len(candidates): losers deliver and exit without a
-	// listener.
-	results := make(chan outcome, len(candidates))
-	launch := func(order int) {
-		rep := candidates[order]
-		go func() {
-			data, err := p.callReplica(raceCtx, shard, rep, method, path, body, bud)
-			results <- outcome{order: order, data: data, err: err}
-		}()
-	}
-	// The hedge timer re-arms after every fire, so topologies with 3+
-	// replicas keep escalating while nobody answers.
-	timer := make(chan struct{}, 1)
-	armTimer := func() {
-		go func() {
-			if p.sleep(raceCtx, p.hedgeAfter) == nil {
-				select {
-				case timer <- struct{}{}:
-				default:
-				}
-			}
-		}()
-	}
-	launched := 1
-	launch(0)
-	armTimer()
-	var lastErr error
-	for failed := 0; failed < launched || launched < len(candidates); {
-		select {
-		case <-timer:
-			if launched < len(candidates) {
-				p.hedged.Add(1)
-				launch(launched)
-				launched++
-				armTimer()
-			}
-		case res := <-results:
-			if res.err == nil {
-				if res.order > 0 {
-					p.hedgeWins.Add(1)
-				}
-				return res.data, nil
-			}
-			lastErr = res.err
-			failed++
-			if ctx.Err() != nil {
-				return nil, res.err
-			}
-			if launched < len(candidates) {
-				// A failed attempt escalates immediately — waiting out the
-				// hedge delay would only add latency to a known failure.
-				p.hedged.Add(1)
-				launch(launched)
-				launched++
-			}
-		}
-	}
-	return nil, fmt.Errorf("serving: shard %d %s: every live replica failed: %w", shard, path, lastErr)
 }
 
 // callReplica performs one replica RPC under the replica's circuit breaker.
@@ -961,7 +779,7 @@ func (p *ProxyBackend) callReplica(ctx context.Context, shard, replica int, meth
 // waste. 504 is permanent — the shard abandoned the request because the
 // forwarded deadline expired — as are other 4xx.
 func (p *ProxyBackend) callRetrying(ctx context.Context, shard, replica int, method, path string, body []byte, bud *queryBudget) ([]byte, error) {
-	url := p.shards[shard][replica] + path
+	url := p.urls[shard][replica] + path
 	var lastErr error
 	var serverWait time.Duration // Retry-After from the last failed attempt
 	for attempt := 0; attempt <= p.maxRetries; attempt++ {

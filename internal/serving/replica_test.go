@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"nanotarget/internal/interest"
+	"nanotarget/internal/rng"
 )
 
 func zeroJitter(shard, replica, attempt int) float64 { return 0 }
@@ -154,6 +155,70 @@ func TestProxyReplicaFailoverExact(t *testing.T) {
 		if !found {
 			t.Fatalf("UnavailableError %v should name every replica of the dead shard (missing %s)", ue.Down, u)
 		}
+	}
+}
+
+// TestProxyUnhedgedReplicaFailover is sequential failover, the default
+// routing (HedgeAfter 0): killing the PREFERRED replica of a replicated shard
+// hands its RPCs to the next replica. Answers stay bit-identical to the
+// in-process ShardedBackend, nothing degrades, and the escalation is tallied
+// as a failover, never as a hedge.
+func TestProxyUnhedgedReplicaFailover(t *testing.T) {
+	cfg := smallConfig(7)
+	s0a, _ := shardHandler(t, cfg, 0, 2)
+	s0b, _ := shardHandler(t, cfg, 0, 2)
+	s1, _ := shardHandler(t, cfg, 1, 2)
+	r0a := startRestartableShard(t, s0a)
+	r0b := startRestartableShard(t, s0b)
+	sh1 := startRestartableShard(t, s1)
+
+	sharded, err := NewShardedBackend(context.Background(), cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy, err := NewProxyBackend(cfg, ProxyConfig{
+		Shards:     [][]string{{r0a.URL(), r0b.URL()}, {sh1.URL()}},
+		Policy:     PolicyRenormalize,
+		MaxRetries: 1, RetryBase: time.Millisecond,
+		Jitter: zeroJitter,
+		Sleep:  immediateSleep,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(7).Derive("unhedged-failover")
+	check := func(phase string) {
+		t.Helper()
+		for trial := 0; trial < 5; trial++ {
+			clauses := randomClauses(r, cfg.Population.CatalogSize)
+			f := randomFilter(r)
+			gotD, gotU := proxy.ReachShares(context.Background(), f, clauses)
+			wantD, wantU := sharded.ReachShares(context.Background(), f, clauses)
+			if gotD != wantD || gotU != wantU {
+				t.Fatalf("%s trial %d: proxy ReachShares = (%v, %v), sharded (%v, %v) — failover must be exact",
+					phase, trial, gotD, gotU, wantD, wantU)
+			}
+			if got, want := proxy.ConditionalAudience(context.Background(), f, clauses[0]), sharded.ConditionalAudience(context.Background(), f, clauses[0]); got != want {
+				t.Fatalf("%s trial %d: proxy ConditionalAudience = %v, sharded %v", phase, trial, got, want)
+			}
+			if proxy.Degraded() {
+				t.Fatalf("%s trial %d: losing one replica of a replicated shard must not degrade", phase, trial)
+			}
+		}
+	}
+	check("healthy")
+	if st := proxy.HealthStats(); st.Failovers != 0 || st.Hedged != 0 {
+		t.Fatalf("healthy unhedged run escalated: %+v", st)
+	}
+
+	r0a.Kill()
+	check("preferred replica killed")
+	st := proxy.HealthStats()
+	if st.Failovers < 1 || st.Hedged != 0 || st.HedgeWins != 0 {
+		t.Fatalf("want failovers >= 1 and no hedges with hedging disarmed: %+v", st)
+	}
+	if st.Down != 1 || st.Shards[0].Up {
+		t.Fatalf("the killed preferred replica should be the one down replica: %+v", st)
 	}
 }
 

@@ -223,7 +223,7 @@ func TestShardedStatsAndWarmRows(t *testing.T) {
 	if st.Prefix.Hits+st.Set.Hits == 0 {
 		t.Fatalf("no hits recorded across shards: %+v", st)
 	}
-	if st.Prefix.Capacity != 3*b.shards[0].engine.Stats().Prefix.Capacity {
+	if st.Prefix.Capacity != 3*b.shards[0].(*LocalBackend).engine.Stats().Prefix.Capacity {
 		t.Fatalf("capacity should fold across 3 shards: %+v", st)
 	}
 }

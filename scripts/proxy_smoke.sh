@@ -12,10 +12,14 @@
 #      proxy; one replica is killed mid-flood and the flood must finish
 #      with 0 errors, 0 degraded stamps, and the post-kill answer must be
 #      byte-identical to the healthy one (replica failover is EXACT);
-#   4. with shard 1 killed, the renormalize proxy still answers everything
+#   4. unhedged replica pass: a proxy without -hedge-after (sequential
+#      failover, the default routing) lists a fresh shard-0 replica FIRST;
+#      that preferred replica is killed mid-flood, with the same gates as
+#      pass 3, and the proxy's health must tally failovers and no hedges;
+#   5. with shard 1 killed, the renormalize proxy still answers everything
 #      (0 errors) and stamps responses degraded (gated via the loadgen
 #      "degraded" tally);
-#   5. a fail-policy proxy over the same (half-dead) topology answers 503
+#   6. a fail-policy proxy over the same (half-dead) topology answers 503
 #      with a JSON body naming the dead shard's URL.
 #
 # Parameterized by environment so CI can scale it down:
@@ -35,10 +39,12 @@ OUT_JSON="${OUT_JSON:-proxy-smoke.json}"
 SHARD0_PORT=19100
 SHARD1_PORT=19101
 SHARD0B_PORT=19102
+SHARD0C_PORT=19103
 PROXY_PORT=19080
 FAIL_PROXY_PORT=19081
 CHAOS_PROXY_PORT=19082
 REPLICA_PROXY_PORT=19083
+UNHEDGED_PROXY_PORT=19084
 
 WORLD="-catalog $CATALOG -population $POPULATION"
 PIDS=""
@@ -189,12 +195,72 @@ cmp /tmp/proxy-smoke-replica-healthy.json /tmp/proxy-smoke-replica-failover.json
     exit 1
 }
 
+echo "==> flood 4 (unhedged replicas): preferred shard 0 replica killed mid-flood"
+UNHEDGED_JSON="${OUT_JSON%.json}-unhedged.json"
+/tmp/proxy-smoke-fbadsd $WORLD -shard-of 0/2 -shard-listen "127.0.0.1:$SHARD0C_PORT" &
+SHARD0C_PID=$!
+PIDS="$PIDS $SHARD0C_PID"
+wait_http "http://127.0.0.1:$SHARD0C_PORT/shard/v1/health"
+UNHEDGED_URLS="http://127.0.0.1:$SHARD0C_PORT|http://127.0.0.1:$SHARD0_PORT,http://127.0.0.1:$SHARD1_PORT"
+# Probes only run at boot here (-health-interval 1h), so the data path
+# itself must discover the kill and fail over, however short the flood.
+/tmp/proxy-smoke-fbadsd $WORLD -proxy "$UNHEDGED_URLS" -degrade renormalize \
+    -health-interval 1h -addr "127.0.0.1:$UNHEDGED_PROXY_PORT" &
+PIDS="$PIDS $!"
+wait_http "http://127.0.0.1:$UNHEDGED_PROXY_PORT/v9.0/act_1/reachestimate?targeting_spec=$SPEC"
+curl -gfsS "http://127.0.0.1:$UNHEDGED_PROXY_PORT/v9.0/act_1/reachestimate?targeting_spec=$SPEC" \
+    > /tmp/proxy-smoke-unhedged-healthy.json
+/tmp/proxy-smoke-fbadsload -url "http://127.0.0.1:$UNHEDGED_PROXY_PORT" \
+    $WORLD -accounts "$ACCOUNTS" -probes "$PROBES" -interests "$INTERESTS" \
+    -concurrency "$CONCURRENCY" \
+    -note "proxy 3-process topology (shard 0 x2 replicas, unhedged, preferred replica killed mid-flood)" \
+    -json "$UNHEDGED_JSON" &
+FLOOD_PID=$!
+sleep 0.2
+echo "==> killing preferred shard 0 replica ($SHARD0C_PID) mid-flood"
+kill "$SHARD0C_PID"
+wait "$SHARD0C_PID" 2>/dev/null || true
+wait "$FLOOD_PID"
+# Sequential failover off the preferred replica must be as invisible as
+# the hedged lane's: no errors, sheds, expiries or degraded stamps.
+for gate in '"errors": 0' '"shed": 0' '"deadline_exceeded": 0'; do
+    grep -q "$gate" "$UNHEDGED_JSON" || {
+        echo "FAIL: unhedged replica flood missing $gate:" >&2
+        cat "$UNHEDGED_JSON" >&2
+        exit 1
+    }
+done
+if grep -q '"degraded"' "$UNHEDGED_JSON"; then
+    echo "FAIL: unhedged replica failover stamped responses degraded (failover must be exact)" >&2
+    cat "$UNHEDGED_JSON" >&2
+    exit 1
+fi
+curl -gfsS "http://127.0.0.1:$UNHEDGED_PROXY_PORT/v9.0/act_1/reachestimate?targeting_spec=$SPEC" \
+    > /tmp/proxy-smoke-unhedged-failover.json
+cmp /tmp/proxy-smoke-unhedged-healthy.json /tmp/proxy-smoke-unhedged-failover.json || {
+    echo "FAIL: answer changed after losing the preferred replica (want byte-identical):" >&2
+    cat /tmp/proxy-smoke-unhedged-healthy.json /tmp/proxy-smoke-unhedged-failover.json >&2
+    exit 1
+}
+HEALTH=$(curl -gfsS "http://127.0.0.1:$UNHEDGED_PROXY_PORT/v9.0/serving/health")
+case "$HEALTH" in
+*'"hedged"'*)
+    echo "FAIL: unhedged proxy tallied hedges: $HEALTH" >&2
+    exit 1
+    ;;
+*'"failovers"'*) ;;
+*)
+    echo "FAIL: unhedged proxy never failed over off the killed replica: $HEALTH" >&2
+    exit 1
+    ;;
+esac
+
 echo "==> killing shard 1 ($SHARD1_PID)"
 kill "$SHARD1_PID"
 wait "$SHARD1_PID" 2>/dev/null || true
 sleep 1  # > health-interval: let the probes notice
 
-echo "==> flood 4: one shard down, renormalize proxy must answer everything"
+echo "==> flood 5: one shard down, renormalize proxy must answer everything"
 DEGRADED_JSON="${OUT_JSON%.json}-degraded.json"
 /tmp/proxy-smoke-fbadsload -url "http://127.0.0.1:$PROXY_PORT" \
     $WORLD -accounts "$ACCOUNTS" -probes "$PROBES" -interests "$INTERESTS" \
